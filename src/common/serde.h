@@ -46,13 +46,25 @@ class ByteReader {
   Status GetU64(std::uint64_t* out) { return GetRaw(out, sizeof(*out)); }
   Status GetDouble(double* out) { return GetRaw(out, sizeof(*out)); }
   Status GetString(std::string* out) {
+    std::string_view view;
+    WEAVER_RETURN_IF_ERROR(GetStringView(&view));
+    out->assign(view);
+    return Status::Ok();
+  }
+  /// Like GetString, but the result views the input instead of copying.
+  Status GetStringView(std::string_view* out) {
     std::uint32_t len = 0;
     WEAVER_RETURN_IF_ERROR(GetU32(&len));
-    if (pos_ + len > data_.size()) {
+    if (len > remaining()) {
       return Status::Internal("truncated string in serialized payload");
     }
-    out->assign(data_.data() + pos_, len);
+    *out = data_.substr(pos_, len);
     pos_ += len;
+    return Status::Ok();
+  }
+  Status Skip(std::size_t n) {
+    if (n > remaining()) return Status::Internal("truncated serialized payload");
+    pos_ += n;
     return Status::Ok();
   }
 

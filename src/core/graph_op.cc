@@ -8,70 +8,19 @@ Status ApplyGraphOpToNode(Node* node, const GraphOp& op,
     case GraphOpType::kCreateNode:
       return Status::Internal("kCreateNode creates the object; see callers");
     case GraphOpType::kDeleteNode:
-      if (node->deleted.valid()) {
-        return Status::FailedPrecondition("node already deleted");
-      }
-      node->deleted = ts;
-      node->last_update = ts;
-      return Status::Ok();
-    case GraphOpType::kCreateEdge: {
-      if (node->deleted.valid()) {
-        return Status::FailedPrecondition("source node deleted");
-      }
-      auto [it, inserted] = node->out_edges.try_emplace(op.edge);
-      if (!inserted) {
-        return Status::AlreadyExists("edge " + std::to_string(op.edge));
-      }
-      Edge& e = it->second;
-      e.id = op.edge;
-      e.from = op.node;
-      e.to = op.to;
-      e.created = ts;
-      node->last_update = ts;
-      return Status::Ok();
-    }
-    case GraphOpType::kDeleteEdge: {
-      auto it = node->out_edges.find(op.edge);
-      if (it == node->out_edges.end()) {
-        return Status::NotFound("edge " + std::to_string(op.edge));
-      }
-      if (it->second.deleted.valid()) {
-        return Status::FailedPrecondition("edge already deleted");
-      }
-      it->second.deleted = ts;
-      node->last_update = ts;
-      return Status::Ok();
-    }
+      return node->Delete(ts);
+    case GraphOpType::kCreateEdge:
+      return node->AddEdge(op.edge, op.to, ts);
+    case GraphOpType::kDeleteEdge:
+      return node->DeleteEdge(op.edge, ts);
     case GraphOpType::kAssignNodeProp:
-      node->props.Assign(op.key, op.value, ts);
-      node->last_update = ts;
-      return Status::Ok();
+      return node->AssignProperty(op.key, op.value, ts);
     case GraphOpType::kRemoveNodeProp:
-      if (!node->props.Remove(op.key, ts)) {
-        return Status::NotFound("property " + op.key);
-      }
-      node->last_update = ts;
-      return Status::Ok();
-    case GraphOpType::kAssignEdgeProp: {
-      auto it = node->out_edges.find(op.edge);
-      if (it == node->out_edges.end()) {
-        return Status::NotFound("edge " + std::to_string(op.edge));
-      }
-      it->second.props.Assign(op.key, op.value, ts);
-      node->last_update = ts;
-      return Status::Ok();
-    }
-    case GraphOpType::kRemoveEdgeProp: {
-      auto it = node->out_edges.find(op.edge);
-      if (it == node->out_edges.end()) {
-        return Status::NotFound("edge " + std::to_string(op.edge));
-      }
-      if (!it->second.props.Remove(op.key, ts)) {
-        return Status::NotFound("property " + op.key);
-      }
-      node->last_update = ts;
-      return Status::Ok();
-    }
+      return node->RemoveProperty(op.key, ts);
+    case GraphOpType::kAssignEdgeProp:
+      return node->AssignEdgeProperty(op.edge, op.key, op.value, ts);
+    case GraphOpType::kRemoveEdgeProp:
+      return node->RemoveEdgeProperty(op.edge, op.key, ts);
   }
   return Status::Internal("unknown op type");
 }

@@ -129,27 +129,7 @@ Result<NodeSnapshot> Transaction::GetNode(NodeId id) {
   if (db_ == nullptr) return MovedFromError();
   auto blob = kvtx_.Get(kv_keys::VertexData(id));
   if (!blob.ok()) return blob.status();
-  auto node = GraphStore::DeserializeNode(*blob);
-  if (!node.ok()) return node.status();
-
-  NodeSnapshot snap;
-  snap.id = id;
-  snap.exists = !node->deleted.valid();
-  if (!snap.exists) return snap;
-  for (const auto& v : node->props.versions()) {
-    if (!v.deleted.valid()) snap.properties.emplace_back(v.key, v.value);
-  }
-  for (const auto& [eid, e] : node->out_edges) {
-    if (e.deleted.valid()) continue;
-    EdgeSnapshot es;
-    es.id = eid;
-    es.to = e.to;
-    for (const auto& v : e.props.versions()) {
-      if (!v.deleted.valid()) es.properties.emplace_back(v.key, v.value);
-    }
-    snap.edges.push_back(std::move(es));
-  }
-  return snap;
+  return GraphStore::DecodeLatest(*blob);
 }
 
 Result<bool> Transaction::NodeExists(NodeId id) {
@@ -157,9 +137,7 @@ Result<bool> Transaction::NodeExists(NodeId id) {
   auto blob = kvtx_.Get(kv_keys::VertexData(id));
   if (blob.status().IsNotFound()) return false;
   if (!blob.ok()) return blob.status();
-  auto node = GraphStore::DeserializeNode(*blob);
-  if (!node.ok()) return node.status();
-  return !node->deleted.valid();
+  return GraphStore::DecodeIsLive(*blob);
 }
 
 Status RetryTransaction(const std::function<Transaction()>& begin,

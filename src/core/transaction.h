@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -19,35 +18,13 @@
 #include "common/ids.h"
 #include "common/result.h"
 #include "core/graph_op.h"
+#include "graph/graph_store.h"
 #include "kvstore/kvstore.h"
 #include "order/timestamp.h"
 
 namespace weaver {
 
 class Weaver;
-
-/// Point-in-time view of one edge read inside a transaction.
-struct EdgeSnapshot {
-  EdgeId id = kInvalidEdgeId;
-  NodeId to = kInvalidNodeId;
-  std::vector<std::pair<std::string, std::string>> properties;
-};
-
-/// Point-in-time view of one vertex read inside a transaction: the latest
-/// committed state (live property versions and live edges only).
-struct NodeSnapshot {
-  NodeId id = kInvalidNodeId;
-  bool exists = false;
-  std::vector<std::pair<std::string, std::string>> properties;
-  std::vector<EdgeSnapshot> edges;
-
-  std::optional<std::string> GetProperty(std::string_view key) const {
-    for (const auto& [k, v] : properties) {
-      if (k == key) return v;
-    }
-    return std::nullopt;
-  }
-};
 
 /// Outcome of an (async) commit. Carries the commit timestamp because the
 /// submitting client moved its Transaction into the request and can no

@@ -361,6 +361,7 @@ Weaver::Weaver(const WeaverOptions& options) : options_(options) {
   coord_program_hops_ = metrics_.counter("coord.program_hops");
   coord_accounting_msgs_ = metrics_.counter("coord.accounting_msgs");
   coord_program_latency_ = metrics_.histogram("coord.program_latency");
+  backing_versions_pruned_ = metrics_.counter("backing.versions_pruned");
   {
     // In-process mode these read the authoritative oracle; with
     // weaver-oracled they read the parent's replica (the service exports
@@ -581,8 +582,10 @@ void Weaver::HandleStoreCommit(std::shared_ptr<StoreCommitMessage> m) {
     }
     if (resolved) {
       KvTransaction kvtx = kv_->Resume(m->read_set);
-      out = ApplyCommitToStore(&kvtx, m->ts, m->ops, placements);
+      out = ApplyCommitToStore(&kvtx, m->ts, m->ops, placements,
+                               StoreWatermark());
       if (out.status.ok()) {
+        backing_versions_pruned_->Add(out.versions_pruned);
         for (const auto& [node, shard] : m->created_placements) {
           locator_->Record(node, shard);
         }
@@ -909,8 +912,17 @@ Status Weaver::CommitOnGatekeeper(Transaction* tx, Gatekeeper& gk) {
     placements[op.node] = *shard;
   }
 
-  const Status st =
-      gk.CommitTransaction(&tx->kvtx_, tx->ops_, placements, &tx->ts_);
+  const RefinableTimestamp watermark = StoreWatermark();
+  const Status st = gk.CommitTransaction(
+      [&](const RefinableTimestamp& ts) {
+        ApplyOutcome out = ApplyCommitToStore(&tx->kvtx_, ts, tx->ops_,
+                                              placements, watermark);
+        if (out.status.ok()) {
+          backing_versions_pruned_->Add(out.versions_pruned);
+        }
+        return out;
+      },
+      tx->ops_, placements, &tx->ts_);
   if (!st.ok()) return st;
   tx->committed_ = true;
   // Publish placements of created vertices to the locator.
@@ -1475,44 +1487,58 @@ Status Weaver::FinishBulkLoad() {
   return Status::Ok();
 }
 
-void Weaver::RunGarbageCollection(bool include_shards) {
-  // Watermark: pointwise minimum over every gatekeeper's oldest in-flight
-  // operation (paper §4.5).
-  RefinableTimestamp watermark;
+namespace {
+
+/// Pointwise minimum of every gatekeeper's oldest in-flight operation
+/// (paper §4.5). Invalid while any gatekeeper has not reported one.
+RefinableTimestamp PointwiseMinimum(
+    const std::vector<RefinableTimestamp>& oldest) {
+  if (oldest.empty()) return {};
+  for (const RefinableTimestamp& wm : oldest) {
+    if (!wm.valid()) return {};
+  }
+  RefinableTimestamp watermark = oldest[0];
+  std::vector<std::uint64_t> mins(watermark.clock.counters());
+  std::uint32_t epoch = watermark.clock.epoch();
+  for (std::size_t g = 1; g < oldest.size(); ++g) {
+    const VectorClock& other = oldest[g].clock;
+    epoch = std::min(epoch, other.epoch());
+    for (std::size_t i = 0; i < mins.size() && i < other.width(); ++i) {
+      mins[i] = std::min(mins[i], other.Component(i));
+    }
+  }
+  watermark.clock = VectorClock(epoch, std::move(mins));
+  return watermark;
+}
+
+}  // namespace
+
+RefinableTimestamp Weaver::ComputeWatermark() {
+  std::vector<RefinableTimestamp> oldest;
   if (remote_gatekeepers_) {
-    // Out-of-parent gatekeepers push their oldest-active watermark every
-    // few milliseconds (GkWatermark); fold the cached copies. Until every
-    // gatekeeper has reported at least once there is no safe watermark --
-    // skip the round rather than collect at a guess.
+    // Out-of-parent gatekeepers push their oldest-active timestamp every
+    // few milliseconds (GkWatermark); fold the cached copies.
     MutexLock lk(gk_wm_mu_);
-    for (const RefinableTimestamp& wm : gk_watermarks_) {
-      if (!wm.valid()) return;
-    }
-    watermark = gk_watermarks_[0];
-    std::vector<std::uint64_t> mins(watermark.clock.counters());
-    std::uint32_t epoch = watermark.clock.epoch();
-    for (std::size_t g = 1; g < gk_watermarks_.size(); ++g) {
-      const RefinableTimestamp& other = gk_watermarks_[g];
-      epoch = std::min(epoch, other.clock.epoch());
-      for (std::size_t i = 0; i < mins.size() && i < other.clock.width();
-           ++i) {
-        mins[i] = std::min(mins[i], other.clock.Component(i));
-      }
-    }
-    watermark.clock = VectorClock(epoch, std::move(mins));
+    oldest = gk_watermarks_;
   } else {
-    watermark = gatekeepers_[0]->OldestActive();
-    std::vector<std::uint64_t> mins(watermark.clock.counters());
-    std::uint32_t epoch = watermark.clock.epoch();
-    for (std::size_t g = 1; g < gatekeepers_.size(); ++g) {
-      const RefinableTimestamp other = gatekeepers_[g]->OldestActive();
-      epoch = std::min(epoch, other.clock.epoch());
-      for (std::size_t i = 0; i < mins.size() && i < other.clock.width();
-           ++i) {
-        mins[i] = std::min(mins[i], other.clock.Component(i));
-      }
-    }
-    watermark.clock = VectorClock(epoch, std::move(mins));
+    for (auto& g : gatekeepers_) oldest.push_back(g->OldestActive());
+  }
+  return PointwiseMinimum(oldest);
+}
+
+RefinableTimestamp Weaver::StoreWatermark() {
+  MutexLock lk(store_wm_mu_);
+  return store_watermark_;
+}
+
+void Weaver::RunGarbageCollection(bool include_shards) {
+  // Until every gatekeeper has reported there is no safe watermark: skip
+  // the round rather than collect at a guess.
+  const RefinableTimestamp watermark = ComputeWatermark();
+  if (!watermark.valid()) return;
+  {
+    MutexLock lk(store_wm_mu_);
+    store_watermark_ = watermark;
   }
   if (include_shards) {
     for (std::size_t s = 0; s < shards_.size(); ++s) {

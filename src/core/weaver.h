@@ -347,6 +347,9 @@ class Weaver {
   /// `include_shards` additionally collapses shard-side version chains and
   /// trims decision caches -- an O(graph) sweep, so the periodic timer
   /// does it on a much slower cadence than the cheap oracle collection.
+  /// Each round also publishes the watermark to the backing-store apply
+  /// paths, which prune history below it from every blob they rewrite
+  /// (docs/storage.md, "What the backing store keeps").
   void RunGarbageCollection(bool include_shards = true);
 
   // --- Fault injection (paper §4.3) ------------------------------------------
@@ -498,7 +501,7 @@ class Weaver {
   GatekeeperId NextGatekeeperId() {
     return static_cast<GatekeeperId>(
         next_gk_.fetch_add(1, std::memory_order_relaxed) %
-        gatekeepers_.size());
+        options_.num_gatekeepers);
   }
   /// Resolves placements and runs the commit protocol on `gk` (both the
   /// blocking wrapper and the client ingress land here).
@@ -510,6 +513,10 @@ class Weaver {
   /// `m->gatekeeper` at the timestamp it issued and answers with the
   /// ApplyOutcome image. Agent worker thread.
   void HandleStoreCommit(std::shared_ptr<StoreCommitMessage> m);
+  /// The GC watermark from live gatekeeper state (invalid until every
+  /// gatekeeper has reported), and the one the last GC round published.
+  RefinableTimestamp ComputeWatermark();
+  RefinableTimestamp StoreWatermark();
   /// Seeds a node program a gatekeeper process timestamped; the
   /// completion routes the reply back through its control endpoint.
   void HandleGkProgramStart(std::shared_ptr<GkProgramStartMessage> m);
@@ -641,6 +648,10 @@ class Weaver {
   /// until the first report arrives.
   Mutex gk_wm_mu_;
   std::vector<RefinableTimestamp> gk_watermarks_ GUARDED_BY(gk_wm_mu_);
+  /// Watermark of the last GC round, read by both store-apply paths
+  /// (CommitOnGatekeeper, HandleStoreCommit); invalid before the first.
+  Mutex store_wm_mu_;
+  RefinableTimestamp store_watermark_ GUARDED_BY(store_wm_mu_);
   ClusterManager cluster_;
   EndpointId coordinator_endpoint_ = 0;
   /// Reply endpoint + router for the deployment-internal blocking
@@ -698,6 +709,8 @@ class Weaver {
   obs::Counter* coord_programs_aborted_ = nullptr;
   obs::Counter* coord_program_hops_ = nullptr;
   obs::Counter* coord_accounting_msgs_ = nullptr;
+  /// Versions and edges pruned from rewritten backing-store blobs.
+  obs::Counter* backing_versions_pruned_ = nullptr;
   obs::LatencyHistogram* coord_program_latency_ = nullptr;
 
   // Periodic GC timer (paper §4.5).

@@ -70,6 +70,57 @@ struct Node {
   /// Number of out-edges visible at `read_ts`.
   std::size_t OutDegreeAt(const RefinableTimestamp& read_ts,
                           const OrderFn& order) const;
+
+  // --- Writes at `ts` (shared by the shard store and the backing-store
+  // apply, so the two copies cannot diverge). Property writes need a live
+  // object; an edge op on an edge id that is absent here answers exactly
+  // like one on a tombstoned edge, because GC may have pruned the
+  // tombstone and a commit's outcome must not depend on GC timing.
+
+  Status Delete(const RefinableTimestamp& ts);
+  Status AddEdge(EdgeId eid, NodeId to, const RefinableTimestamp& ts);
+  Status DeleteEdge(EdgeId eid, const RefinableTimestamp& ts);
+  Status AssignProperty(std::string_view key, std::string_view value,
+                        const RefinableTimestamp& ts);
+  Status RemoveProperty(std::string_view key, const RefinableTimestamp& ts);
+  Status AssignEdgeProperty(EdgeId eid, std::string_view key,
+                            std::string_view value,
+                            const RefinableTimestamp& ts);
+  Status RemoveEdgeProperty(EdgeId eid, std::string_view key,
+                            const RefinableTimestamp& ts);
+
+  /// Drops property versions and out-edges deleted strictly before
+  /// `watermark` under `order` (the vertex itself is the caller's call).
+  /// Returns the number of versions and edges dropped.
+  std::size_t CollectBefore(const RefinableTimestamp& watermark,
+                            const OrderFn& order);
+
+ private:
+  /// The live out-edge `eid`, or FailedPrecondition.
+  Result<Edge*> LiveEdge(EdgeId eid);
+};
+
+/// Point-in-time view of one edge read inside a transaction.
+struct EdgeSnapshot {
+  EdgeId id = kInvalidEdgeId;
+  NodeId to = kInvalidNodeId;
+  std::vector<std::pair<std::string, std::string>> properties;
+};
+
+/// Point-in-time view of one vertex read inside a transaction: the latest
+/// committed state (live property versions and live edges only).
+struct NodeSnapshot {
+  NodeId id = kInvalidNodeId;
+  bool exists = false;
+  std::vector<std::pair<std::string, std::string>> properties;
+  std::vector<EdgeSnapshot> edges;
+
+  std::optional<std::string> GetProperty(std::string_view key) const {
+    for (const auto& [k, v] : properties) {
+      if (k == key) return v;
+    }
+    return std::nullopt;
+  }
 };
 
 class GraphStore {
@@ -128,6 +179,12 @@ class GraphStore {
   /// store blob, and the inverse, used for durability and shard recovery.
   static std::string SerializeNode(const Node& node);
   static Result<Node> DeserializeNode(std::string_view blob);
+  /// Decodes only the latest committed state of a blob (live property
+  /// versions and live edges, in blob order) without materializing the
+  /// version history: the transactional read path.
+  static Result<NodeSnapshot> DecodeLatest(std::string_view blob);
+  /// Decodes only the vertex header: true iff the vertex is not deleted.
+  static Result<bool> DecodeIsLive(std::string_view blob);
 
   /// Installs a recovered vertex, replacing any existing one.
   void InstallNode(Node node);
@@ -137,6 +194,9 @@ class GraphStore {
   const Stats& stats() const { return stats_; }
 
  private:
+  /// The vertex `id` (deleted or not), or NotFound.
+  Result<Node*> Existing(NodeId id);
+
   std::unordered_map<NodeId, std::unique_ptr<Node>> nodes_;
   Stats stats_;
 };

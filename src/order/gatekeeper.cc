@@ -545,7 +545,8 @@ void Gatekeeper::AdvanceEpochLocked(std::uint32_t epoch) {
 ApplyOutcome ApplyCommitToStore(
     KvTransaction* kvtx, const RefinableTimestamp& ts,
     const std::vector<GraphOp>& ops,
-    const std::unordered_map<NodeId, ShardId>& placements) {
+    const std::unordered_map<NodeId, ShardId>& placements,
+    const RefinableTimestamp& watermark) {
   ApplyOutcome out;
 
   // Apply the write batch to the backing store through the OCC
@@ -613,9 +614,21 @@ ApplyOutcome ApplyCommitToStore(
     }
   }
 
-  // Write back blobs, last-update stamps, and shard placements.
+  // Write back blobs, last-update stamps, and shard placements. Each
+  // rewritten blob first drops the history no node program can read
+  // (docs/storage.md, "What the backing store keeps"). Plain vector-clock
+  // order, never the oracle or the same-issuer shortcut: every in-flight
+  // or future program's clock dominates the watermark pointwise, so a
+  // version deleted at a clock strictly below it is invisible to them all.
+  static const OrderFn kClockOrder = [](const RefinableTimestamp& a,
+                                        const RefinableTimestamp& b) {
+    return a.clock.Compare(b.clock);
+  };
   const std::string ts_blob = SerializeTimestamp(ts);
   for (auto& [id, node] : touched) {
+    if (watermark.valid()) {
+      out.versions_pruned += node.CollectBefore(watermark, kClockOrder);
+    }
     kvtx->Put(kv_keys::VertexData(id), GraphStore::SerializeNode(node));
     kvtx->Put(kv_keys::VertexLastUpdate(id), ts_blob);
     if (created.count(id)) {
@@ -628,17 +641,6 @@ ApplyOutcome ApplyCommitToStore(
   out.status = kvtx->Commit();
   if (!out.status.ok()) out.kv_conflict = true;
   return out;
-}
-
-Status Gatekeeper::CommitTransaction(
-    KvTransaction* kvtx, const std::vector<GraphOp>& ops,
-    const std::unordered_map<NodeId, ShardId>& placements,
-    RefinableTimestamp* committed_ts) {
-  return CommitTransaction(
-      [&](const RefinableTimestamp& ts) {
-        return ApplyCommitToStore(kvtx, ts, ops, placements);
-      },
-      ops, placements, committed_ts);
 }
 
 Status Gatekeeper::CommitTransaction(
@@ -743,10 +745,14 @@ RefinableTimestamp Gatekeeper::BeginProgram(const VectorClock* fence) {
     MutexLock lk(clock_mu_);
     clock_.Merge(*fence);
   }
-  std::uint64_t unused = 0;
-  const RefinableTimestamp ts = IssueTimestamp(false, &unused);
+  // Issue and register under programs_mu_, so OldestActive never sees a
+  // clock that has ticked past a program it does not yet list: that
+  // watermark would let GC drop versions the program can still read.
+  RefinableTimestamp ts;
   {
     MutexLock lk(programs_mu_);
+    std::uint64_t unused = 0;
+    ts = IssueTimestamp(false, &unused);
     active_programs_.emplace(ts.event_id(), ts);
   }
   stats_.programs_issued.fetch_add(1, std::memory_order_relaxed);
@@ -761,8 +767,8 @@ void Gatekeeper::EndProgram(const RefinableTimestamp& ts) {
 }
 
 RefinableTimestamp Gatekeeper::OldestActive() {
-  VectorClock snapshot = SnapshotClock();
   MutexLock lk(programs_mu_);
+  VectorClock snapshot = SnapshotClock();
   if (active_programs_.empty()) {
     return RefinableTimestamp(snapshot, options_.id,
                               snapshot.Component(options_.id));

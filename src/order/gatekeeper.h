@@ -65,6 +65,9 @@ struct ApplyOutcome {
   /// The conflicting vertex's last-update clock (valid when
   /// retry_timestamp).
   VectorClock conflict_clock;
+  /// Property versions and edges dropped from the rewritten blobs
+  /// because they were deleted strictly before the watermark.
+  std::uint64_t versions_pruned = 0;
 };
 
 /// One commit attempt at timestamp `ts`: applies `ops` through the OCC
@@ -72,10 +75,14 @@ struct ApplyOutcome {
 /// placements for created vertices) and commits. Pure store-side logic:
 /// no clocks, slots, or bus traffic -- the gatekeeper's retry loop (or
 /// the parent-side agent serving an out-of-parent gatekeeper) wraps it.
+/// Every blob it rewrites drops the property versions and edges deleted
+/// strictly before `watermark` in vector-clock order; an invalid
+/// watermark prunes nothing.
 ApplyOutcome ApplyCommitToStore(
     KvTransaction* kvtx, const RefinableTimestamp& ts,
     const std::vector<GraphOp>& ops,
-    const std::unordered_map<NodeId, ShardId>& placements);
+    const std::unordered_map<NodeId, ShardId>& placements,
+    const RefinableTimestamp& watermark);
 
 class Gatekeeper {
  public:
@@ -255,27 +262,18 @@ class Gatekeeper {
   /// Stops timers; safe to call repeatedly.
   void StopTimers();
 
-  /// Commits a client transaction: assigns a timestamp, applies `ops` to
-  /// the backing store through `kvtx` (validating per-vertex last-update
-  /// timestamps), commits, and forwards per-shard slices over the bus.
-  /// `placements` maps every vertex touched by `ops` to its shard.
-  /// On kAborted the client should retry the whole transaction.
-  Status CommitTransaction(
-      KvTransaction* kvtx, const std::vector<GraphOp>& ops,
-      const std::unordered_map<NodeId, ShardId>& placements,
-      RefinableTimestamp* committed_ts);
-
   /// One commit attempt at the timestamp this gatekeeper issued. The
   /// in-process path wraps ApplyCommitToStore; an out-of-parent
   /// gatekeeper ships the attempt to its parent-side agent as a
   /// StoreCommit RPC and decodes the reply into the same shape.
   using CommitApplier = std::function<ApplyOutcome(const RefinableTimestamp&)>;
 
-  /// Commit driver decoupled from the backing store: owns the timestamp
-  /// issue + outbound slot, runs `apply` per attempt, merges conflict
-  /// clocks and retries bounded times on last-update conflicts, and fans
-  /// committed slices out to the shards in slot order. The kvtx overload
-  /// above is a thin wrapper.
+  /// Commits a client transaction: owns the timestamp issue + outbound
+  /// slot, runs `apply` per attempt, merges conflict clocks and retries
+  /// bounded times on last-update conflicts, and fans committed slices
+  /// out to the shards in slot order. `placements` maps every vertex
+  /// touched by `ops` to its shard. On kAborted the client should retry
+  /// the whole transaction.
   Status CommitTransaction(
       const CommitApplier& apply, const std::vector<GraphOp>& ops,
       const std::unordered_map<NodeId, ShardId>& placements,

@@ -86,6 +86,11 @@ struct RefinableTimestamp {
     WEAVER_RETURN_IF_ERROR(r->GetU64(&out->local_seq));
     return Status::Ok();
   }
+  /// Advances `r` past one serialized timestamp without decoding it.
+  static Status Skip(ByteReader* r) {
+    WEAVER_RETURN_IF_ERROR(VectorClock::Skip(r));
+    return r->Skip(sizeof(GatekeeperId) + sizeof(std::uint64_t));
+  }
 };
 
 }  // namespace weaver

@@ -75,6 +75,14 @@ Status VectorClock::Deserialize(ByteReader* r, VectorClock* out) {
   return Status::Ok();
 }
 
+Status VectorClock::Skip(ByteReader* r) {
+  std::uint32_t epoch = 0;
+  std::uint32_t width = 0;
+  WEAVER_RETURN_IF_ERROR(r->GetU32(&epoch));
+  WEAVER_RETURN_IF_ERROR(r->GetU32(&width));
+  return r->Skip(std::size_t{width} * sizeof(std::uint64_t));
+}
+
 const char* ClockOrderName(ClockOrder o) {
   switch (o) {
     case ClockOrder::kEqual:

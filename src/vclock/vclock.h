@@ -77,6 +77,8 @@ class VectorClock {
 
   void Serialize(ByteWriter* w) const;
   static Status Deserialize(ByteReader* r, VectorClock* out);
+  /// Advances `r` past one serialized clock without decoding it.
+  static Status Skip(ByteReader* r);
 
  private:
   std::uint32_t epoch_ = 0;

@@ -195,6 +195,52 @@ TEST(GraphStoreTest, NodeAndEdgePropertiesAreVersioned) {
   EXPECT_EQ(e.props.ValueAt("weight", Ts(5), order), "4.0");
 }
 
+TEST(GraphStoreTest, PropertyWritesOnDeletedVertexRejected) {
+  GraphStore g;
+  ASSERT_TRUE(g.CreateNode(1, Ts(1)).ok());
+  ASSERT_TRUE(g.AssignNodeProperty(1, "k", "v", Ts(2)).ok());
+  ASSERT_TRUE(g.DeleteNode(1, Ts(3)).ok());
+  EXPECT_TRUE(g.AssignNodeProperty(1, "k", "w", Ts(4)).IsFailedPrecondition());
+  EXPECT_TRUE(g.RemoveNodeProperty(1, "k", Ts(4)).IsFailedPrecondition());
+  // Nothing was written: the live version is still the one from Ts(2).
+  const Node* n = g.FindNode(1);
+  EXPECT_EQ(n->props.VersionCount(), 1u);
+  EXPECT_EQ(n->last_update.local_seq, 3u);
+}
+
+TEST(GraphStoreTest, PropertyWritesOnDeletedEdgeRejected) {
+  GraphStore g;
+  ASSERT_TRUE(g.CreateNode(1, Ts(1)).ok());
+  ASSERT_TRUE(g.CreateEdge(100, 1, 2, Ts(1)).ok());
+  ASSERT_TRUE(g.AssignEdgeProperty(1, 100, "w", "1", Ts(2)).ok());
+  ASSERT_TRUE(g.DeleteEdge(1, 100, Ts(3)).ok());
+  EXPECT_TRUE(
+      g.AssignEdgeProperty(1, 100, "w", "2", Ts(4)).IsFailedPrecondition());
+  EXPECT_TRUE(g.RemoveEdgeProperty(1, 100, "w", Ts(4)).IsFailedPrecondition());
+  EXPECT_TRUE(g.DeleteEdge(1, 100, Ts(4)).IsFailedPrecondition());
+  EXPECT_EQ(g.FindNode(1)->out_edges.at(100).props.VersionCount(), 1u);
+}
+
+// GC may erase an edge tombstone at any time, so every edge op must
+// answer the same before and after it does.
+TEST(GraphStoreTest, PrunedEdgeAnswersLikeTombstonedEdge) {
+  GraphStore g;
+  ASSERT_TRUE(g.CreateNode(1, Ts(1)).ok());
+  ASSERT_TRUE(g.CreateEdge(100, 1, 2, Ts(1)).ok());
+  ASSERT_TRUE(g.DeleteEdge(1, 100, Ts(2)).ok());
+  auto codes = [&g](std::uint64_t seq) {
+    return std::vector<StatusCode>{
+        g.DeleteEdge(1, 100, Ts(seq)).code(),
+        g.AssignEdgeProperty(1, 100, "w", "1", Ts(seq)).code(),
+        g.RemoveEdgeProperty(1, 100, "w", Ts(seq)).code()};
+  };
+  const std::vector<StatusCode> tombstoned = codes(3);
+  ASSERT_EQ(g.CollectBefore(Ts(5), PlainOrder()), 1u);
+  ASSERT_TRUE(g.FindNode(1)->out_edges.empty());
+  EXPECT_EQ(codes(6), tombstoned);
+  EXPECT_EQ(tombstoned[0], StatusCode::kFailedPrecondition);
+}
+
 TEST(GraphStoreTest, RemoveMissingPropertyNotFound) {
   GraphStore g;
   ASSERT_TRUE(g.CreateNode(1, Ts(1)).ok());
@@ -231,6 +277,99 @@ TEST(GraphStoreTest, SerializeDeserializeRoundTrip) {
 
 TEST(GraphStoreTest, DeserializeGarbageFails) {
   EXPECT_FALSE(GraphStore::DeserializeNode("nonsense").ok());
+  EXPECT_FALSE(GraphStore::DecodeLatest("nonsense").ok());
+  EXPECT_FALSE(GraphStore::DecodeIsLive("nonsense").ok());
+}
+
+// The reference for DecodeLatest: materialize every version, then keep
+// the live ones (the transactional read path before DecodeLatest).
+NodeSnapshot LatestByDeserializing(std::string_view blob) {
+  auto node = GraphStore::DeserializeNode(blob);
+  EXPECT_TRUE(node.ok());
+  NodeSnapshot snap;
+  snap.id = node->id;
+  snap.exists = !node->deleted.valid();
+  if (!snap.exists) return snap;
+  for (const auto& v : node->props.versions()) {
+    if (!v.deleted.valid()) snap.properties.emplace_back(v.key, v.value);
+  }
+  for (const auto& [eid, e] : node->out_edges) {
+    if (e.deleted.valid()) continue;
+    EdgeSnapshot es{eid, e.to, {}};
+    for (const auto& v : e.props.versions()) {
+      if (!v.deleted.valid()) es.properties.emplace_back(v.key, v.value);
+    }
+    snap.edges.push_back(std::move(es));
+  }
+  return snap;
+}
+
+void ExpectSameSnapshot(NodeSnapshot a, NodeSnapshot b) {
+  auto by_id = [](const EdgeSnapshot& x, const EdgeSnapshot& y) {
+    return x.id < y.id;
+  };
+  std::sort(a.edges.begin(), a.edges.end(), by_id);
+  std::sort(b.edges.begin(), b.edges.end(), by_id);
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(a.exists, b.exists);
+  EXPECT_EQ(a.properties, b.properties);
+  ASSERT_EQ(a.edges.size(), b.edges.size());
+  for (std::size_t i = 0; i < a.edges.size(); ++i) {
+    EXPECT_EQ(a.edges[i].id, b.edges[i].id);
+    EXPECT_EQ(a.edges[i].to, b.edges[i].to);
+    EXPECT_EQ(a.edges[i].properties, b.edges[i].properties);
+  }
+}
+
+TEST(GraphStoreTest, DecodeLatestMatchesDeserializeThenFilter) {
+  GraphStore g;
+  ASSERT_TRUE(g.CreateNode(1, Ts(1)).ok());
+  std::uint64_t seq = 2;
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(
+        g.AssignNodeProperty(1, "counter", std::to_string(i), Ts(seq++)).ok());
+  }
+  ASSERT_TRUE(g.AssignNodeProperty(1, "gone", "x", Ts(seq++)).ok());
+  ASSERT_TRUE(g.RemoveNodeProperty(1, "gone", Ts(seq++)).ok());
+  for (EdgeId e = 100; e < 130; ++e) {
+    ASSERT_TRUE(g.CreateEdge(e, 1, e + 1000, Ts(seq++)).ok());
+    ASSERT_TRUE(g.AssignEdgeProperty(1, e, "w", "a", Ts(seq++)).ok());
+    if (e % 3 == 0) {
+      ASSERT_TRUE(g.AssignEdgeProperty(1, e, "w", "b", Ts(seq++)).ok());
+    }
+    if (e % 4 == 0) ASSERT_TRUE(g.DeleteEdge(1, e, Ts(seq++)).ok());
+  }
+  const std::string blob = GraphStore::SerializeNode(*g.FindNode(1));
+  auto latest = GraphStore::DecodeLatest(blob);
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  ExpectSameSnapshot(*latest, LatestByDeserializing(blob));
+  EXPECT_EQ(latest->GetProperty("counter"), "19");
+  EXPECT_EQ(latest->GetProperty("gone"), std::nullopt);
+  EXPECT_EQ(latest->edges.size(), 30u - 8u);
+  EXPECT_EQ(GraphStore::DecodeIsLive(blob).value(), true);
+
+  // A deleted vertex decodes to exists == false, with nothing else.
+  ASSERT_TRUE(g.DeleteNode(1, Ts(seq++)).ok());
+  const std::string dead = GraphStore::SerializeNode(*g.FindNode(1));
+  auto gone = GraphStore::DecodeLatest(dead);
+  ASSERT_TRUE(gone.ok());
+  ExpectSameSnapshot(*gone, LatestByDeserializing(dead));
+  EXPECT_FALSE(gone->exists);
+  EXPECT_TRUE(gone->edges.empty());
+  EXPECT_EQ(GraphStore::DecodeIsLive(dead).value(), false);
+}
+
+TEST(GraphStoreTest, DecodeRejectsTruncatedBlobs) {
+  GraphStore g;
+  ASSERT_TRUE(g.CreateNode(1, Ts(1)).ok());
+  ASSERT_TRUE(g.AssignNodeProperty(1, "k", "v", Ts(2)).ok());
+  ASSERT_TRUE(g.CreateEdge(100, 1, 2, Ts(3)).ok());
+  const std::string blob = GraphStore::SerializeNode(*g.FindNode(1));
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    const std::string_view cut(blob.data(), len);
+    EXPECT_FALSE(GraphStore::DeserializeNode(cut).ok()) << len;
+    EXPECT_FALSE(GraphStore::DecodeLatest(cut).ok()) << len;
+  }
 }
 
 TEST(GraphStoreTest, GcErasesDeletedObjects) {

@@ -16,9 +16,11 @@
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/weaver_client.h"
@@ -245,23 +247,40 @@ TEST(MultiProcessSmoke, RemoteDeploymentGuards) {
   }
   EXPECT_TRUE(serverd::WaitShardServers(*children).ok());
 }
-// TCP-bootstrap mode (docs/transport.md#cluster-bootstrap): every server
-// process is a real exec'd weaver-serverd binary that joined through the
-// cluster listener's versioned handshake -- including the gatekeepers,
-// which run OUT-OF-PARENT (the clock, sequencer, and client ingress live
-// in the children; the parent keeps only the backing store and the
-// per-gatekeeper agent endpoints). The workload must produce results
-// identical to the in-process bus.
-//
-// Exec'ing after threads exist is safe (unlike the fork-protocol tests
-// above): only async-signal-safe calls run between fork and exec.
-TEST(MultiProcessSmoke, TcpBootstrapExecMatchesInProcessBus) {
-  // 1. Listener with one slot per wanted process.
+/// An exec'd cluster (docs/transport.md#cluster-bootstrap): every server
+/// process is a real weaver-serverd binary that joined through the
+/// cluster listener's versioned handshake -- including the gatekeepers,
+/// which run OUT-OF-PARENT (the clock, sequencer, and client ingress live
+/// in the children; the parent keeps only the backing store and the
+/// per-gatekeeper agent endpoints).
+///
+/// Exec'ing after threads exist is safe (unlike the fork-protocol tests
+/// above): only async-signal-safe calls run between fork and exec.
+struct ExecCluster {
+  std::unique_ptr<cluster::ClusterListener> listener;
+  std::vector<pid_t> pids;
+  std::vector<int> shard_fds = std::vector<int>(kShards, -1);
+  std::vector<int> gk_fds = std::vector<int>(kGatekeepers, -1);
+
+  /// Parent-side options over the handshaken sockets.
+  WeaverOptions Options() const {
+    WeaverOptions o = DeploymentOptions();
+    o.metrics_poll_period_micros = 0;
+    o.remote_shard_fds = shard_fds;
+    o.remote_gatekeeper_fds = gk_fds;
+    return o;
+  }
+};
+
+/// Opens a listener slot per process, execs the serverds, and admits them
+/// in whatever order they dial in.
+void SpawnExecCluster(ExecCluster* c) {
   cluster::ClusterListener::Options lo;
   lo.token = "smoke-secret";
   auto listener = cluster::ClusterListener::Open(lo);
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
-  cluster::ClusterListener& l = **listener;
+  c->listener = std::move(listener).value();
+  cluster::ClusterListener& l = *c->listener;
 
   serverd::ShardServerOptions so;
   so.num_shards = kShards;
@@ -276,45 +295,50 @@ TEST(MultiProcessSmoke, TcpBootstrapExecMatchesInProcessBus) {
   for (std::size_t g = 0; g < kGatekeepers; ++g) {
     ASSERT_TRUE(l.OpenSlot(NodeRole::kGatekeeper, g, assign).ok());
   }
-
-  // 2. Exec the serverds; each connects its own socket and handshakes.
-  std::vector<pid_t> pids;
   for (std::size_t s = 0; s < kShards; ++s) {
     auto pid = cluster::SpawnServerd(WEAVER_SERVERD_BIN, l.port(),
                                      lo.token, NodeRole::kShard, s);
     ASSERT_TRUE(pid.ok()) << pid.status().ToString();
-    pids.push_back(*pid);
+    c->pids.push_back(*pid);
   }
   for (std::size_t g = 0; g < kGatekeepers; ++g) {
     auto pid = cluster::SpawnServerd(WEAVER_SERVERD_BIN, l.port(),
                                      lo.token, NodeRole::kGatekeeper, g);
     ASSERT_TRUE(pid.ok()) << pid.status().ToString();
-    pids.push_back(*pid);
+    c->pids.push_back(*pid);
   }
-
-  // 3. Admit them in whatever order they dial in.
-  std::vector<int> shard_fds(kShards, -1);
-  std::vector<int> gk_fds(kGatekeepers, -1);
   for (std::size_t i = 0; i < kShards + kGatekeepers; ++i) {
     auto joined = l.AcceptJoin();
     ASSERT_TRUE(joined.ok()) << joined.status().ToString();
     if (joined->role == NodeRole::kShard) {
-      shard_fds[joined->shard_id] = joined->fd;
+      c->shard_fds[joined->shard_id] = joined->fd;
     } else {
       ASSERT_EQ(joined->role, NodeRole::kGatekeeper);
-      gk_fds[joined->shard_id] = joined->fd;
+      c->gk_fds[joined->shard_id] = joined->fd;
     }
   }
+}
 
-  // 4. Parent deployment over the handshaken sockets.
+/// The exec'd children exit 0 once the parent tears the links down.
+void ExpectExecClusterExitsCleanly(const ExecCluster& c) {
+  for (const pid_t pid : c.pids) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "serverd pid " << pid << " exited abnormally (status " << status
+        << ")";
+  }
+}
+
+// The traversal workload on an exec'd cluster must produce results
+// identical to the in-process bus.
+TEST(MultiProcessSmoke, TcpBootstrapExecMatchesInProcessBus) {
+  ExecCluster c;
+  ASSERT_NO_FATAL_FAILURE(SpawnExecCluster(&c));
   WorkloadResults remote_results;
   std::vector<NodeId> remote_nodes;
   {
-    WeaverOptions o = DeploymentOptions();
-    o.metrics_poll_period_micros = 0;
-    o.remote_shard_fds = shard_fds;
-    o.remote_gatekeeper_fds = gk_fds;
-    auto db = Weaver::Open(o);
+    auto db = Weaver::Open(c.Options());
     ASSERT_NE(db, nullptr);
     remote_nodes = BuildGraph(db.get());
     remote_results = RunWorkload(db.get(), remote_nodes);
@@ -324,17 +348,9 @@ TEST(MultiProcessSmoke, TcpBootstrapExecMatchesInProcessBus) {
         << "no traffic actually crossed the transport";
     db->Shutdown();
   }
+  ExpectExecClusterExitsCleanly(c);
 
-  // 5. The exec'd children exit 0 once the parent tears the links down.
-  for (const pid_t pid : pids) {
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        << "serverd pid " << pid << " exited abnormally (status " << status
-        << ")";
-  }
-
-  // 6. Identical workload in-process; identical results.
+  // Identical workload in-process; identical results.
   auto db = Weaver::Open(DeploymentOptions());
   ASSERT_NE(db, nullptr);
   const std::vector<NodeId> nodes = BuildGraph(db.get());
@@ -348,6 +364,69 @@ TEST(MultiProcessSmoke, TcpBootstrapExecMatchesInProcessBus) {
   ASSERT_FALSE(local_results.queries.empty());
   EXPECT_EQ(local_results.queries[0].size(),
             static_cast<std::size_t>(kVertices));
+}
+
+Status Increment(Weaver* db, NodeId id) {
+  return db->RunTransaction(
+      [id](Transaction& tx) -> Status {
+        WEAVER_ASSIGN_OR_RETURN(NodeSnapshot snap, tx.GetNode(id));
+        const int value = std::stoi(snap.GetProperty("counter").value());
+        return tx.AssignNodeProperty(id, "counter",
+                                     std::to_string(value + 1));
+      },
+      /*max_attempts=*/64);
+}
+
+std::size_t BlobSize(Weaver* db, NodeId id) {
+  return db->kv().Get(kv_keys::VertexData(id)).value().size();
+}
+
+// Out-of-parent gatekeepers report their oldest in-flight program over
+// the wire (GkWatermark); the parent's store apply prunes with the
+// watermark GC folds from those reports, exactly as in-process
+// (docs/storage.md, "What the backing store keeps").
+TEST(MultiProcessSmoke, ExecGatekeepersBoundRewrittenBlobs) {
+  ExecCluster c;
+  ASSERT_NO_FATAL_FAILURE(SpawnExecCluster(&c));
+  {
+    WeaverOptions o = c.Options();
+    o.gc_period_micros = 0;  // the test runs the GC rounds itself
+    auto db = Weaver::Open(o);
+    ASSERT_NE(db, nullptr);
+    NodeId id = kInvalidNodeId;
+    {
+      Transaction tx = db->BeginTx();
+      id = tx.CreateNode();
+      ASSERT_TRUE(tx.AssignNodeProperty(id, "counter", "0").ok());
+      ASSERT_TRUE(db->Commit(&tx).ok());
+    }
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(Increment(db.get(), id).ok());
+    const std::size_t after_ten = BlobSize(db.get(), id);
+    for (int i = 10; i < 500; ++i) ASSERT_TRUE(Increment(db.get(), id).ok());
+    ASSERT_GT(BlobSize(db.get(), id), after_ten);
+
+    // Pruning happens when a blob is rewritten, and the reports trail the
+    // gatekeepers' clocks by a few milliseconds: GC round plus one more
+    // increment until the blob is back under its 10-increment size.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    int extra = 0;
+    do {
+      db->RunGarbageCollection();
+      ASSERT_TRUE(Increment(db.get(), id).ok());
+      ++extra;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    } while (BlobSize(db.get(), id) > after_ten &&
+             std::chrono::steady_clock::now() < deadline);
+    EXPECT_LE(BlobSize(db.get(), id), after_ten);
+    EXPECT_GE(db->metrics().Snapshot().CounterValue("backing.versions_pruned"),
+              490u);
+    Transaction tx = db->BeginTx();
+    EXPECT_EQ(tx.GetNode(id)->GetProperty("counter"),
+              std::to_string(500 + extra));
+    db->Shutdown();
+  }
+  ExpectExecClusterExitsCleanly(c);
 }
 #endif  // !WEAVER_TSAN
 

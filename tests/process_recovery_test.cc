@@ -32,6 +32,7 @@
 #include "client/weaver_client.h"
 #include "coord/serverd.h"
 #include "core/weaver.h"
+#include "graph/graph_store.h"
 #include "net/fault_injector.h"
 #include "oracle/oracle_client.h"
 #include "programs/standard_programs.h"
@@ -332,6 +333,124 @@ TEST(ProcessRecovery, DroppedLinkRecoversThroughInjectorSeam) {
     auto cluster = db->CollectMetrics();
     ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
     EXPECT_GE(cluster->local.CounterValue("supervisor.recoveries"), 1u);
+    db->Shutdown();
+  }
+  EXPECT_TRUE(serverd::WaitShardServers(*children).ok());
+  EXPECT_TRUE(serverd::WaitShardServers(*spares).ok());
+}
+
+/// True once every blob in `ids` holds no edge tombstone and at most
+/// three "hits" versions: GC pruned the history away.
+bool BlobsPruned(Weaver* db, const std::vector<NodeId>& ids) {
+  for (const NodeId id : ids) {
+    auto node = GraphStore::DeserializeNode(
+        db->kv().Get(kv_keys::VertexData(id)).value());
+    if (!node.ok() || node->props.VersionCount() > 4) return false;
+    for (const auto& [eid, e] : node->out_edges) {
+      if (e.deleted.valid()) return false;
+    }
+  }
+  return true;
+}
+
+/// A shard respawned after GC pruned the backing store rehydrates from
+/// blobs that no longer hold superseded versions or deleted edges; it must
+/// answer exactly what the shard it replaces answered.
+TEST(ProcessRecovery, RespawnFromPrunedBlobsAnswersAsBeforeCrash) {
+  constexpr int kChurned = 24;
+  serverd::ShardServerOptions so;
+  so.num_shards = kShards;
+  so.num_gatekeepers = kGatekeepers;
+  auto children = serverd::SpawnShardServers(so);
+  ASSERT_TRUE(children.ok()) << children.status().ToString();
+  auto spares = serverd::SpawnSpareServers(so, /*count=*/1);
+  ASSERT_TRUE(spares.ok()) << spares.status().ToString();
+  {
+    WeaverOptions o = DeploymentOptions();
+    o.gc_period_micros = 0;  // the test runs the GC rounds itself
+    o.supervision.enabled = true;
+    o.supervision.poll_period_micros = 5'000;
+    for (const auto& child : *children) {
+      o.remote_shard_fds.push_back(child.parent_fd);
+      o.supervision.shard_pids.push_back(child.pid);
+    }
+    for (const auto& spare : *spares) {
+      o.supervision.spare_pids.push_back(spare.pid);
+      o.supervision.spare_fds.push_back(spare.parent_fd);
+    }
+    auto db = Weaver::Open(o);
+    ASSERT_NE(db, nullptr);
+    const std::vector<NodeId> nodes = BuildGraph(db.get());
+    const std::vector<NodeId> churned(nodes.begin(),
+                                      nodes.begin() + kChurned);
+
+    // History for GC to prune: overwritten properties, and edges that
+    // are created, re-weighted and deleted again.
+    WeaverClient client(db.get());
+    auto session = client.OpenSession();
+    for (int round = 0; round < 20; ++round) {
+      for (int i = 0; i < kChurned; ++i) {
+        Transaction tx = session->BeginTx();
+        ASSERT_TRUE(tx.AssignNodeProperty(churned[i], "hits",
+                                          std::to_string(round))
+                        .ok());
+        ASSERT_TRUE(session->Commit(&tx).ok());
+      }
+    }
+    for (int i = 0; i < kChurned; ++i) {
+      Transaction create = session->BeginTx();
+      const EdgeId e = create.CreateEdge(churned[i], nodes[(i + 5) % kVertices]);
+      ASSERT_TRUE(create.AssignEdgeProperty(churned[i], e, "w", "1").ok());
+      ASSERT_TRUE(session->Commit(&create).ok());
+      Transaction remove = session->BeginTx();
+      ASSERT_TRUE(remove.AssignEdgeProperty(churned[i], e, "w", "2").ok());
+      ASSERT_TRUE(remove.DeleteEdge(churned[i], e).ok());
+      ASSERT_TRUE(session->Commit(&remove).ok());
+    }
+
+    // GC rounds, each followed by a rewrite of every churned vertex,
+    // until the blobs are pruned (the watermark trails the newest commit
+    // until announces carry it to both gatekeepers).
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    do {
+      db->RunGarbageCollection();
+      for (const NodeId id : churned) {
+        Transaction tx = session->BeginTx();
+        ASSERT_TRUE(tx.AssignNodeProperty(id, "hits", "final").ok());
+        ASSERT_TRUE(session->Commit(&tx).ok());
+      }
+    } while (!BlobsPruned(db.get(), churned) &&
+             std::chrono::steady_clock::now() < deadline);
+    ASSERT_TRUE(BlobsPruned(db.get(), churned));
+
+    auto reads = [&] {
+      WorkloadResults r = RunWorkload(db.get(), nodes, {});
+      for (const NodeId id : churned) {
+        auto got = RunWithRetry(session.get(), programs::kGetNode, id);
+        EXPECT_TRUE(got.ok()) << got.status().ToString();
+        if (got.ok()) r.queries.push_back(got->returns);
+        auto degree = RunWithRetry(session.get(), programs::kCountEdges, id);
+        EXPECT_TRUE(degree.ok()) << degree.status().ToString();
+        if (degree.ok()) r.queries.push_back(degree->returns);
+      }
+      return r;
+    };
+    const WorkloadResults before = reads();
+
+    ASSERT_EQ(::kill((*children)[0].pid, SIGKILL), 0);
+    ASSERT_TRUE(AwaitRecoveries(db.get(), 1, std::chrono::seconds(30)))
+        << "supervisor never reported the recovery";
+    const WorkloadResults after = reads();
+    ASSERT_EQ(before.queries.size(), after.queries.size());
+    for (std::size_t q = 0; q < before.queries.size(); ++q) {
+      EXPECT_EQ(before.queries[q], after.queries[q])
+          << "query " << q << " diverged after respawn from pruned blobs";
+    }
+    auto cluster = db->CollectMetrics();
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    EXPECT_GT(cluster->local.CounterValue("supervisor.replayed_vertices"), 0u);
+    EXPECT_GT(cluster->local.CounterValue("backing.versions_pruned"), 0u);
     db->Shutdown();
   }
   EXPECT_TRUE(serverd::WaitShardServers(*children).ok());
