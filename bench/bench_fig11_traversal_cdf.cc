@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
     options.num_shards = 2;
     options.start = false;
     options.bulk_load_durable = false;
-    options.max_program_waves = 1 << 20;
     auto db = Weaver::Open(options);
     LoadGraph(db.get(), graph);
     db->Start();

@@ -1,6 +1,8 @@
 #include "cluster/bootstrap.h"
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -237,6 +239,11 @@ Result<JoinedProcess> ClusterListener::AcceptJoin() {
       return Status::Unavailable(std::string("accept: ") +
                                  std::strerror(errno));
     }
+    // The accepted fd becomes the peer's wire link: small request/reply
+    // frames must not sit out Nagle's delay waiting for the peer's ACK
+    // (the joiner sets the same option on its end).
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     JoinedProcess joined;
     if (HandshakeOne(fd, &joined)) return joined;
     // Refused/failed: loop for the next connection until the deadline.

@@ -1063,10 +1063,9 @@ void Weaver::OnWaveAccounting(
     } else if (options_.max_program_hops > 0 &&
                ex.consumed > options_.max_program_hops) {
       // The hop limit is the sole runaway guard: every drain cycle
-      // consumes at least one hop, so it also bounds cycles. (The old
-      // per-round max_program_waves has no decentralized analog --
-      // cycle counts scale with batching granularity, not traversal
-      // depth, so a cycle cap would spuriously abort wide traversals.)
+      // consumes at least one hop, so it also bounds cycles. A cycle cap
+      // would spuriously abort wide traversals: cycle counts scale with
+      // batching granularity, not traversal depth.
       ex.failure = Status::TimedOut("node program exceeded max_program_hops "
                                     "(runaway traversal?)");
     }

@@ -135,13 +135,6 @@ struct WeaverOptions {
   /// Use the LDG streaming partitioner instead of hash placement.
   bool use_ldg_partitioner = false;
   std::size_t expected_vertices = 1 << 20;
-  /// Superseded runaway guard: the pre-PR-4 barrier loop aborted after
-  /// this many coordinator waves. Decentralized execution has no
-  /// per-round analog (drain-cycle counts scale with batching, not
-  /// traversal depth), so this knob is retained for source
-  /// compatibility but NO LONGER ENFORCED -- max_program_hops is the
-  /// guard (each cycle consumes >= 1 hop, so it bounds cycles too).
-  std::size_t max_program_waves = 4096;
   /// Abort runaway node programs after this many total hops consumed
   /// (the runaway guard; 0 disables).
   std::size_t max_program_hops = 1 << 26;

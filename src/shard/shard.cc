@@ -327,13 +327,21 @@ void Shard::ApplyEntry(const QueueEntry& entry) {
 
 bool Shard::WaveEligible(const RefinableTimestamp& prog_ts) {
   // Delay rule (paper §4.1): every queue head must be ordered strictly
-  // after the program; concurrent heads are resolved transaction-first, so
-  // an unresolved head forces the program to wait for that transaction.
-  // All heads go through ONE batched resolution: with a remote oracle the
-  // cache/clock misses share a single RPC round trip.
+  // after the program. A concurrent NOP head (or empty slice) waits
+  // WITHOUT asking the oracle: it carries no writes, so no order against
+  // it changes what the program reads, and the gatekeeper's next NOP
+  // after an announce dominates the program by clock. Concurrent
+  // transaction heads resolve transaction-first in ONE batch: with a
+  // remote oracle the cache misses share a single RPC round trip.
   std::vector<std::pair<RefinableTimestamp, RefinableTimestamp>> pairs;
-  pairs.reserve(gk_queues_.size());
-  for (auto& q : gk_queues_) pairs.emplace_back(q.front().ts, prog_ts);
+  for (const auto& q : gk_queues_) {
+    const QueueEntry& head = q.front();
+    const ClockOrder o = head.ts.Compare(prog_ts);
+    if (o == ClockOrder::kAfter) continue;
+    if (o != ClockOrder::kConcurrent || head.is_nop) return false;
+    pairs.emplace_back(head.ts, prog_ts);
+  }
+  if (pairs.empty()) return true;
   auto orders = resolver_.ResolveBatch(pairs, OrderPreference::kPreferFirst);
   if (!orders.ok()) {
     // Oracle unreachable (failover in progress): park the wave. No order

@@ -5,11 +5,14 @@
 // Execution model (Fig 6): the shard keeps one FIFO queue of incoming
 // transactions per gatekeeper. Per-gatekeeper streams arrive in timestamp
 // order over FIFO bus channels, so each queue is sorted; the event loop
-// repeatedly executes the globally-least queue head. When heads are
-// concurrent, the shard consults the timeline oracle (through its caching
-// OrderResolver) to discover or establish an order -- the reactive stage of
-// refinable timestamps. NOP transactions guarantee every queue always has
-// a head, bounding the wait.
+// repeatedly executes the globally-least queue head, by vector clock, and
+// concurrent heads in arrival order (concurrent transactions never write
+// the same vertex). The timeline oracle, through the caching
+// OrderResolver, is the reactive stage of refinable timestamps: the shard
+// consults it only to order a concurrent transaction against a node
+// program (a transaction head in the delay rule, or a version a program
+// reads). NOP transactions guarantee every queue always has a head,
+// bounding the wait; they never reach the oracle.
 //
 // Node programs (paper §4.1, §4.5; docs/node_programs.md): execution is
 // decentralized. Hop batches arrive from the coordinator (start wave) or
@@ -256,6 +259,9 @@ class Shard {
   /// Index of the queue whose head is ordered first.
   std::size_t PickMinHead();
   void ApplyEntry(const QueueEntry& entry);
+  /// Delay rule (paper §4.1): true once every queue head is ordered
+  /// strictly after `prog_ts`. NOP heads are decided by vector clock
+  /// alone; only concurrent transaction heads consult the oracle.
   bool WaveEligible(const RefinableTimestamp& prog_ts);
 
   /// Ingests a hop batch: installs the context on first contact, then

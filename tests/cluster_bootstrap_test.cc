@@ -9,6 +9,7 @@
 // the multiprocess smoke test.
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -173,6 +174,31 @@ TEST(ClusterBootstrapTest, WildcardShardIdFillsOpenSlot) {
   auto joined = accepted.get();
   ASSERT_TRUE(joined.ok()) << joined.status().ToString();
   EXPECT_EQ(joined->shard_id, 3u);
+  ::close(good->fd);
+  ::close(joined->fd);
+}
+
+TEST(ClusterBootstrapTest, AcceptedLinkDisablesNagle) {
+  // The accepted fd carries the joiner's data-plane traffic afterwards;
+  // with Nagle on, small frames wait for delayed ACKs (~40ms per round).
+  auto listener = ClusterListener::Open(BaseOptions());
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  ClusterListener& l = **listener;
+  ASSERT_TRUE(l.OpenSlot(NodeRole::kShard, 0, Assignment()).ok());
+
+  auto accepted =
+      std::async(std::launch::async, [&] { return l.AcceptJoin(); });
+  auto good =
+      JoinCluster(l.port(), GoodRequest(NodeRole::kShard, 0), kJoinTimeout);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  auto joined = accepted.get();
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  for (const int fd : {joined->fd, good->fd}) {
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+    EXPECT_NE(nodelay, 0) << "fd " << fd;
+  }
   ::close(good->fd);
   ::close(joined->fd);
 }

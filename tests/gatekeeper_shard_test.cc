@@ -2,8 +2,12 @@
 // deployments (start = false) driven by manual pumping.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/weaver.h"
 #include "order/gatekeeper.h"
+#include "programs/standard_programs.h"
 #include "shard/shard.h"
 
 namespace weaver {
@@ -235,6 +239,167 @@ TEST(ShardTest, GcMessageCollapsesVersions) {
   db->shard(0).ProcessUntilIdle();
   EXPECT_EQ(node->props.VersionCount(), 1u);
   EXPECT_GE(shard.stats().gc_rounds.load(), 1u);
+}
+
+// Seeds one get_node hop at a chosen timestamp straight into the owning
+// shard's inbox, as the coordinator's seeding does, and captures what the
+// shard returns through its accounting messages. Lets a test hold a
+// program at the delay rule while it pumps gatekeepers by hand.
+class ProgramProbe {
+ public:
+  explicit ProgramProbe(Weaver& db)
+      : db_(db),
+        returns_(std::make_shared<std::vector<programs::GetNodeResult>>()) {
+    endpoint_ = db.bus().RegisterHandler(
+        "probe", [returns = returns_](const BusMessage& msg) {
+          if (msg.payload_tag != kMsgWaveAccounting) return;
+          auto acct =
+              std::static_pointer_cast<WaveAccountingMessage>(msg.payload);
+          for (const auto& ret : acct->returns) {
+            returns->push_back(programs::GetNodeResult::Decode(ret.second));
+          }
+        });
+  }
+
+  void Seed(const RefinableTimestamp& ts, NodeId node) {
+    auto batch = std::make_shared<WaveHopBatchMessage>();
+    batch->program_id = 1;
+    batch->ts = ts;
+    batch->program_name = std::string(programs::kGetNode);
+    batch->coordinator = endpoint_;
+    batch->hops.push_back(NextHop{node, ""});
+    const ShardId s = db_.locator().Lookup(node).value();
+    ASSERT_TRUE(db_.bus()
+                    .Send(endpoint_, db_.shard(s).endpoint(), kMsgWaveHops,
+                          std::move(batch))
+                    .ok());
+  }
+
+  const std::vector<programs::GetNodeResult>& returns() const {
+    return *returns_;
+  }
+
+ private:
+  Weaver& db_;
+  std::shared_ptr<std::vector<programs::GetNodeResult>> returns_;
+  EndpointId endpoint_ = 0;
+};
+
+std::string PropertyOf(const programs::GetNodeResult& r,
+                       const std::string& key) {
+  for (const auto& [k, v] : r.properties) {
+    if (k == key) return v;
+  }
+  return "";
+}
+
+// Bulk-loads `count` vertices (no queued transactions, so every shard
+// queue starts empty) and makes gk1 aware of the load timestamp, so its
+// programs see the loaded versions by clock.
+std::vector<NodeId> LoadNodes(Weaver& db, std::size_t count) {
+  std::vector<NodeId> ids;
+  for (NodeId id = 1; id <= count; ++id) {
+    EXPECT_TRUE(db.BulkCreateNode(id, {{"v", "old"}}).ok());
+    ids.push_back(id);
+  }
+  EXPECT_TRUE(db.FinishBulkLoad().ok());
+  db.gatekeeper(0).PumpAnnounce();
+  return ids;
+}
+
+TEST(ShardDelayRuleTest, ConcurrentNopHeadWaitsWithoutOracle) {
+  auto db = Weaver::Open(ManualOptions(2, 1));
+  const NodeId n = LoadNodes(*db, 1)[0];
+  Shard& shard = db->shard(0);
+  ProgramProbe probe(*db);
+
+  const RefinableTimestamp prog = db->gatekeeper(1).BeginProgram();
+  db->gatekeeper(1).PumpNop();  // same issuer: after prog
+  // gk0 has not heard of prog, so its NOP is concurrent with it.
+  db->gatekeeper(0).PumpNop();
+  probe.Seed(prog, n);
+
+  const auto resolver_before = shard.resolver().stats().oracle_requests;
+  const auto oracle_before = db->oracle().stats().order_requests.load();
+  shard.ProcessUntilIdle();
+  EXPECT_TRUE(probe.returns().empty()) << "ran past a concurrent NOP head";
+  EXPECT_GE(shard.stats().wave_delays.load(), 1u);
+  EXPECT_EQ(shard.resolver().stats().oracle_requests, resolver_before);
+  EXPECT_EQ(db->oracle().stats().order_requests.load(), oracle_before);
+
+  // gk1's announce reaches gk0; gk0's next NOP dominates prog by clock.
+  db->PumpAll();
+  ASSERT_EQ(probe.returns().size(), 1u);
+  EXPECT_EQ(PropertyOf(probe.returns()[0], "v"), "old");
+  EXPECT_EQ(shard.resolver().stats().oracle_requests, resolver_before);
+  EXPECT_EQ(db->oracle().stats().order_requests.load(), oracle_before);
+}
+
+TEST(ShardDelayRuleTest, ConcurrentTransactionHeadIsRefinedWriteFirst) {
+  auto db = Weaver::Open(ManualOptions(2, 1));
+  const NodeId n = LoadNodes(*db, 1)[0];
+  Shard& shard = db->shard(0);
+  ProgramProbe probe(*db);
+
+  const RefinableTimestamp prog = db->gatekeeper(1).BeginProgram();
+  auto tx = db->BeginTx();  // round-robin: commits on gk0
+  ASSERT_TRUE(tx.AssignNodeProperty(n, "v", "new").ok());
+  ASSERT_TRUE(db->Commit(&tx).ok());
+  ASSERT_EQ(tx.timestamp().gatekeeper, 0u);
+  ASSERT_EQ(tx.timestamp().Compare(prog), ClockOrder::kConcurrent);
+  db->gatekeeper(1).PumpNop();  // after prog
+  probe.Seed(prog, n);
+
+  const auto oracle_before = db->oracle().stats().order_requests.load();
+  shard.ProcessUntilIdle();
+  // The oracle ordered the transaction head first, so the program waits
+  // for it.
+  EXPECT_GT(db->oracle().stats().order_requests.load(), oracle_before);
+  EXPECT_GE(shard.resolver().stats().oracle_requests, 1u);
+  EXPECT_EQ(db->oracle().QueryOrder(tx.timestamp(), prog),
+            ClockOrder::kBefore);
+  EXPECT_TRUE(probe.returns().empty());
+
+  db->PumpAll();
+  ASSERT_EQ(probe.returns().size(), 1u);
+  EXPECT_EQ(PropertyOf(probe.returns()[0], "v"), "new");
+}
+
+TEST(ShardDelayRuleTest, EmptySliceHeadIsDecidedByClock) {
+  auto db = Weaver::Open(ManualOptions(2, 2));
+  // One vertex on each shard: the program reads `here`, the transaction
+  // writes only `there`, so `here`'s shard receives an empty slice.
+  const std::vector<NodeId> ids = LoadNodes(*db, 16);
+  NodeId here = kInvalidNodeId;
+  NodeId there = kInvalidNodeId;
+  for (const NodeId id : ids) {
+    (db->locator().Lookup(id) == 0u ? here : there) = id;
+  }
+  ASSERT_NE(here, kInvalidNodeId);
+  ASSERT_NE(there, kInvalidNodeId);
+  Shard& shard = db->shard(0);
+  ProgramProbe probe(*db);
+
+  const RefinableTimestamp prog = db->gatekeeper(1).BeginProgram();
+  auto tx = db->BeginTx();  // round-robin: commits on gk0
+  ASSERT_TRUE(tx.AssignNodeProperty(there, "v", "new").ok());
+  ASSERT_TRUE(db->Commit(&tx).ok());
+  ASSERT_EQ(tx.timestamp().gatekeeper, 0u);
+  ASSERT_EQ(tx.timestamp().Compare(prog), ClockOrder::kConcurrent);
+  db->gatekeeper(1).PumpNop();
+  probe.Seed(prog, here);
+
+  const auto resolver_before = shard.resolver().stats().oracle_requests;
+  const auto oracle_before = db->oracle().stats().order_requests.load();
+  shard.ProcessUntilIdle();
+  EXPECT_TRUE(probe.returns().empty()) << "ran past a concurrent slice";
+  EXPECT_EQ(shard.resolver().stats().oracle_requests, resolver_before);
+  EXPECT_EQ(db->oracle().stats().order_requests.load(), oracle_before);
+
+  db->PumpAll();
+  ASSERT_EQ(probe.returns().size(), 1u);
+  EXPECT_EQ(PropertyOf(probe.returns()[0], "v"), "old");
+  EXPECT_EQ(db->oracle().stats().order_requests.load(), oracle_before);
 }
 
 }  // namespace
