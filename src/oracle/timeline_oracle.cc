@@ -1,5 +1,6 @@
 #include "oracle/timeline_oracle.h"
 
+#include <algorithm>
 #include <cassert>
 #include <deque>
 #include <mutex>
@@ -7,6 +8,7 @@
 namespace weaver {
 
 void TimelineOracle::CreateEvent(const RefinableTimestamp& ts) {
+  WaitForCollectors();
   WriterLock lk(mu_);
   FindOrCreate(ts);
 }
@@ -35,7 +37,20 @@ bool TimelineOracle::Reaches(const RefinableTimestamp& from,
   std::deque<const EventNode*> frontier;
   std::unordered_set<EventId> visited;
   visited.insert(from.event_id());
+  // Minimal clocks already expanded. A clock after or equal to one of them
+  // has no new hop targets: by transitivity of Compare (the causal
+  // precondition in order/timestamp.h) whatever dominates it dominates the
+  // expanded clock too, so it is already visited or enqueued.
+  std::vector<const RefinableTimestamp*> expanded;
   auto expand_clock_hops = [&](const RefinableTimestamp& ts) {
+    for (const RefinableTimestamp* e : expanded) {
+      const ClockOrder o = e->Compare(ts);
+      if (o == ClockOrder::kBefore || o == ClockOrder::kEqual) return;
+    }
+    std::erase_if(expanded, [&](const RefinableTimestamp* e) {
+      return ts.Compare(*e) == ClockOrder::kBefore;
+    });
+    expanded.push_back(&ts);
     // Only events with explicit out-edges are useful as hop targets (a hop
     // to a sink either hits `to` -- checked directly -- or dead-ends).
     for (const auto& [id, node] : events_) {
@@ -90,6 +105,7 @@ ClockOrder TimelineOracle::QueryOrder(const RefinableTimestamp& a,
     stats_.vclock_resolved.fetch_add(1, std::memory_order_relaxed);
     return by_clock;
   }
+  WaitForCollectors();
   ReaderLock lk(mu_);
   const ClockOrder o = ResolveLocked(a, b);
   if (o != ClockOrder::kConcurrent) {
@@ -107,6 +123,7 @@ ClockOrder TimelineOracle::OrderPair(const RefinableTimestamp& a,
     stats_.vclock_resolved.fetch_add(1, std::memory_order_relaxed);
     return by_clock;
   }
+  WaitForCollectors();
   WriterLock lk(mu_);
   const ClockOrder existing = ResolveLocked(a, b);
   if (existing != ClockOrder::kConcurrent) {
@@ -129,6 +146,7 @@ ClockOrder TimelineOracle::OrderPair(const RefinableTimestamp& a,
 Status TimelineOracle::AssignHappensBefore(const RefinableTimestamp& before,
                                            const RefinableTimestamp& after) {
   stats_.order_requests.fetch_add(1, std::memory_order_relaxed);
+  WaitForCollectors();
   WriterLock lk(mu_);
   const ClockOrder existing = ResolveLocked(before, after);
   if (existing == ClockOrder::kBefore || existing == ClockOrder::kEqual) {
@@ -147,8 +165,24 @@ Status TimelineOracle::AssignHappensBefore(const RefinableTimestamp& before,
   return Status::Ok();
 }
 
+void TimelineOracle::WaitForCollectors() const {
+  for (std::uint32_t n = collectors_waiting_.load(); n != 0;
+       n = collectors_waiting_.load()) {
+    collectors_waiting_.wait(n);
+  }
+}
+
 void TimelineOracle::CollectBefore(const VectorClock& watermark) {
-  WriterLock lk(mu_);
+  collectors_waiting_.fetch_add(1);
+  {
+    WriterLock lk(mu_);
+    CollectLocked(watermark);
+  }
+  collectors_waiting_.fetch_sub(1);
+  collectors_waiting_.notify_all();
+}
+
+void TimelineOracle::CollectLocked(const VectorClock& watermark) {
   std::vector<EventId> dead;
   for (const auto& [id, node] : events_) {
     if (node.ts.clock.Compare(watermark) == ClockOrder::kBefore) {

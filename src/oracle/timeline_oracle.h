@@ -20,6 +20,14 @@
 // chain head") while read-only queries take a shared lock and may execute
 // concurrently ("any replica"); OracleChain in oracle/chain.h models
 // per-replica read dispatch for the throughput benchmark.
+//
+// Lock discipline: std::shared_mutex promises no FIFO among waiters, so
+// a steady stream of order requests could keep the garbage collector off
+// the lock for good. A waiting CollectBefore is therefore served before
+// every later order request: it announces itself in collectors_waiting_
+// before it locks, and CreateEvent, OrderPair, QueryOrder and
+// AssignHappensBefore block at that gate while the count is non-zero.
+// The collector waits only for the requests already past the gate.
 #pragma once
 
 #include <atomic>
@@ -118,8 +126,14 @@ class TimelineOracle {
   ClockOrder ResolveLocked(const RefinableTimestamp& a,
                            const RefinableTimestamp& b) const
       REQUIRES_SHARED(mu_);
+  void CollectLocked(const VectorClock& watermark) REQUIRES(mu_);
+  /// Blocks while a CollectBefore waits for or holds mu_. Every order
+  /// request passes it before locking (see the lock discipline above).
+  void WaitForCollectors() const;
 
   mutable SharedMutex mu_;
+  /// CollectBefore calls waiting for or holding mu_.
+  std::atomic<std::uint32_t> collectors_waiting_{0};
   std::unordered_map<EventId, EventNode> events_ GUARDED_BY(mu_);
   Stats stats_;
 };
