@@ -20,6 +20,14 @@ class ByteWriter {
   void PutU32(std::uint32_t v) { PutRaw(&v, sizeof(v)); }
   void PutU64(std::uint64_t v) { PutRaw(&v, sizeof(v)); }
   void PutDouble(double v) { PutRaw(&v, sizeof(v)); }
+  /// LEB128: 7 bits per byte, low group first (1 byte below 128).
+  void PutVarint(std::uint64_t v) {
+    while (v >= 0x80) {
+      buf_.push_back(static_cast<char>(v | 0x80));
+      v >>= 7;
+    }
+    buf_.push_back(static_cast<char>(v));
+  }
   void PutString(std::string_view s) {
     PutU32(static_cast<std::uint32_t>(s.size()));
     buf_.append(s.data(), s.size());
@@ -45,6 +53,21 @@ class ByteReader {
   Status GetU32(std::uint32_t* out) { return GetRaw(out, sizeof(*out)); }
   Status GetU64(std::uint64_t* out) { return GetRaw(out, sizeof(*out)); }
   Status GetDouble(double* out) { return GetRaw(out, sizeof(*out)); }
+  Status GetVarint(std::uint64_t* out) {
+    std::uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      if (pos_ >= data_.size()) {
+        return Status::Internal("truncated varint in serialized payload");
+      }
+      const auto byte = static_cast<std::uint8_t>(data_[pos_++]);
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) {
+        *out = v;
+        return Status::Ok();
+      }
+    }
+    return Status::Internal("overlong varint in serialized payload");
+  }
   Status GetString(std::string* out) {
     std::string_view view;
     WEAVER_RETURN_IF_ERROR(GetStringView(&view));

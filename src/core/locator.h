@@ -16,6 +16,7 @@
 #include "common/annotations.h"
 #include "common/ids.h"
 #include "common/sync.h"
+#include "core/node_program.h"
 #include "kvstore/kvstore.h"
 
 namespace weaver {
@@ -37,7 +38,7 @@ class NodeLocator {
         loads_(num_shards, 0) {}
 
   /// Shard of `node`, or nullopt if the vertex is unknown.
-  std::optional<ShardId> Lookup(NodeId node) const {
+  std::optional<ShardId> Lookup(NodeId node) const EXCLUDES(mu_) {
     {
       ReaderLock lk(mu_);
       auto it = map_.find(node);
@@ -57,19 +58,40 @@ class NodeLocator {
     return shard;
   }
 
+  /// Owners of a whole fan-out: `(*out)[i]` is Lookup(hops[i].node). The
+  /// directory hits resolve under ONE reader lock instead of one per hop;
+  /// only misses fall back to Lookup's read-through, after the lock is
+  /// gone.
+  void LookupMany(const std::vector<NextHop>& hops,
+                  std::vector<std::optional<ShardId>>* out) const
+      EXCLUDES(mu_) {
+    out->clear();
+    if (hops.empty()) return;
+    bool missed = false;
+    {
+      ReaderLock lk(mu_);
+      for (const auto& hop : hops) {
+        auto it = map_.find(hop.node);
+        if (it != map_.end()) {
+          out->emplace_back(it->second);
+        } else {
+          out->emplace_back();
+          missed = true;
+        }
+      }
+    }
+    if (!missed) return;
+    std::size_t i = 0;
+    for (const auto& hop : hops) {
+      if (!(*out)[i].has_value()) (*out)[i] = Lookup(hop.node);
+      ++i;
+    }
+  }
+
   void Record(NodeId node, ShardId shard) {
     WriterLock lk(mu_);
     auto [it, inserted] = map_.try_emplace(node, shard);
     if (inserted && shard < loads_.size()) loads_[shard]++;
-  }
-
-  void Forget(NodeId node) {
-    WriterLock lk(mu_);
-    auto it = map_.find(node);
-    if (it != map_.end()) {
-      if (it->second < loads_.size()) loads_[it->second]--;
-      map_.erase(it);
-    }
   }
 
   /// Vertex count per shard (partitioner input).

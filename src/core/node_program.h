@@ -85,21 +85,8 @@ class NodeView {
     return node_->props.SnapshotAt(*ts_, *order_);
   }
 
-  /// All out-edges visible at the program's timestamp. Allocates the
-  /// returned vector; hot loops should prefer ForEachEdge.
-  std::vector<EdgeView> Edges() const {
-    std::vector<EdgeView> out;
-    if (!Exists()) return out;
-    for (const auto& [eid, e] : node_->out_edges) {
-      if (e.VisibleAt(*ts_, *order_)) out.emplace_back(&e, ts_, order_);
-    }
-    return out;
-  }
-
   /// Calls `fn(const EdgeView&)` for every out-edge visible at the
-  /// program's timestamp, without materializing a vector -- the
-  /// iteration path for per-vertex hot loops (every standard program
-  /// uses it).
+  /// program's timestamp, without materializing a vector.
   template <typename Fn>
   void ForEachEdge(Fn&& fn) const {
     if (!Exists()) return;
@@ -144,20 +131,24 @@ class NodeProgram {
   /// no value on first visit.
   virtual void Run(const NodeView& node, const std::string& params,
                    std::any* state, ProgramOutput* out) const = 0;
-  /// Declares that, for an execution started with `start_params`, once
-  /// this program has set state at a vertex any further hop to that
-  /// vertex is a no-op REGARDLESS of its params (the "if visited then
-  /// return" pattern of the paper's Fig 3 BFS). Shards then prune hops
-  /// to visited vertices at ingress instead of re-dispatching them --
-  /// the dominant hop volume in fan-in-heavy traversals. The
-  /// coordinator asks once per execution (per start hop) and the
-  /// answer rides in every hop batch, so it must depend only on
-  /// propagation-invariant params. Programs whose revisits depend on
-  /// per-hop params (shortest path's smaller distance, k-hop's larger
-  /// budget, label-prop's smaller label, any depth-budgeted traversal
-  /// where a later hop can be shallower) must keep the default false
-  /// -- decentralized execution is not level-synchronous, so a vertex
-  /// may be first reached via a LONGER path.
+  /// Declares that, for an execution started with `start_params`, the
+  /// FIRST hop to reach a vertex decides everything the program does
+  /// there: every later hop to that vertex is a no-op REGARDLESS of its
+  /// params (the "if visited then return" pattern of the paper's Fig 3
+  /// BFS). Shards then keep one claim set per program: a vertex is
+  /// claimed when its first hop is queued (or, for a peer's vertex,
+  /// forwarded), and every later hop to a claimed vertex is pruned at
+  /// the spot -- pending, visited or already forwarded alike. That is
+  /// the dominant hop volume in fan-in-heavy traversals. Each vertex
+  /// therefore runs at most once per execution. The coordinator asks
+  /// once per execution (per start hop) and the answer rides in every
+  /// hop batch, so it must depend only on propagation-invariant params.
+  /// Programs whose revisits depend on per-hop params (shortest path's
+  /// smaller distance, k-hop's larger budget, label-prop's smaller
+  /// label, any depth-budgeted traversal where a later hop can be
+  /// shallower) must keep the default false -- decentralized execution
+  /// is not level-synchronous, so a vertex may be first reached via a
+  /// LONGER path.
   virtual bool VisitOnce(const std::string& start_params) const {
     (void)start_params;
     return false;

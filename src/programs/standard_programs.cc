@@ -10,25 +10,54 @@ namespace programs {
 
 // ---- Codecs ---------------------------------------------------------------
 
+namespace {
+// BfsParams presence flags: a field at its default is left out.
+constexpr std::uint8_t kBfsHasFilter = 1;  // edge_prop_key, _value follow
+constexpr std::uint8_t kBfsHasTarget = 2;
+constexpr std::uint8_t kBfsHasDepth = 4;
+constexpr std::uint8_t kBfsHasMaxDepth = 8;
+}  // namespace
+
 std::string BfsParams::Encode() const {
+  // A flags byte, then only the non-default fields, integers as varints:
+  // filter-free params fit std::string's inline buffer, so copying them
+  // into every spawned hop allocates nothing.
+  std::uint8_t flags = 0;
+  if (!edge_prop_key.empty() || !edge_prop_value.empty()) {
+    flags |= kBfsHasFilter;
+  }
+  if (target != kInvalidNodeId) flags |= kBfsHasTarget;
+  if (depth != 0) flags |= kBfsHasDepth;
+  if (max_depth != 0) flags |= kBfsHasMaxDepth;
   ByteWriter w;
-  w.PutString(edge_prop_key);
-  w.PutString(edge_prop_value);
-  w.PutU64(target);
-  w.PutU32(depth);
-  w.PutU32(max_depth);
+  w.PutU8(flags);
+  if (flags & kBfsHasFilter) {
+    w.PutString(edge_prop_key);
+    w.PutString(edge_prop_value);
+  }
+  if (flags & kBfsHasTarget) w.PutVarint(target);
+  if (flags & kBfsHasDepth) w.PutVarint(depth);
+  if (flags & kBfsHasMaxDepth) w.PutVarint(max_depth);
   return w.Take();
 }
 
 BfsParams BfsParams::Decode(const std::string& blob) {
   BfsParams p;
   ByteReader r(blob);
-  if (blob.empty()) return p;
-  (void)r.GetString(&p.edge_prop_key);
-  (void)r.GetString(&p.edge_prop_value);
-  (void)r.GetU64(&p.target);
-  (void)r.GetU32(&p.depth);
-  (void)r.GetU32(&p.max_depth);
+  std::uint8_t flags = 0;
+  if (!r.GetU8(&flags).ok()) return p;
+  if (flags & kBfsHasFilter) {
+    (void)r.GetString(&p.edge_prop_key);
+    (void)r.GetString(&p.edge_prop_value);
+  }
+  std::uint64_t v = 0;
+  if ((flags & kBfsHasTarget) && r.GetVarint(&v).ok()) p.target = v;
+  if ((flags & kBfsHasDepth) && r.GetVarint(&v).ok()) {
+    p.depth = static_cast<std::uint32_t>(v);
+  }
+  if ((flags & kBfsHasMaxDepth) && r.GetVarint(&v).ok()) {
+    p.max_depth = static_cast<std::uint32_t>(v);
+  }
   return p;
 }
 
@@ -270,16 +299,23 @@ class BfsProgram final : public NodeProgram {
     ByteWriter w;
     w.PutU64(node.id());
     out->return_value = w.Take();
-    if (p.max_depth != 0 && p.depth >= p.max_depth) return;
-    BfsParams next = p;
-    next.depth = p.depth + 1;
-    const std::string next_blob = next.Encode();
+    // Depth is read only under a limit, so an unbounded traversal
+    // forwards its incoming params unchanged (no re-encode per vertex).
+    const std::string* next_blob = &params;
+    std::string deeper;
+    if (p.max_depth != 0) {
+      if (p.depth >= p.max_depth) return;
+      BfsParams next = p;
+      next.depth = p.depth + 1;
+      deeper = next.Encode();
+      next_blob = &deeper;
+    }
     node.ForEachEdge([&](const EdgeView& e) {
       if (!p.edge_prop_key.empty() &&
           !e.Check(p.edge_prop_key, p.edge_prop_value)) {
         return;
       }
-      out->next_hops.push_back(NextHop{e.to(), next_blob});
+      out->next_hops.push_back(NextHop{e.to(), *next_blob});
     });
   }
 };

@@ -80,6 +80,7 @@ void Shard::ExportMetrics() {
   counter("hop_budget_throttles", stats_.hop_budget_throttles);
   counter("busy_ns", stats_.busy_ns);
   counter("op_work_ns", stats_.op_work_ns);
+  counter("hop_exec_ns", stats_.hop_exec_ns);
   m->AddGaugeFn(p + "inbox_depth", [this] {
     return static_cast<std::int64_t>(options_.bus->QueueDepth(endpoint_));
   });
@@ -383,25 +384,41 @@ void Shard::ProcessReady() {
   RunEligiblePrograms();
 }
 
+ClockOrder Shard::ResolveVisibility(const RefinableTimestamp& write_ts,
+                                    const RefinableTimestamp& read_ts) {
+  // Writes win ties: a transaction concurrent with a node program is
+  // ordered before it unless the oracle already knows otherwise (paper
+  // §4.1 -- programs never miss committed writes).
+  auto decided =
+      resolver_.TryResolve(write_ts, read_ts, OrderPreference::kPreferFirst);
+  if (decided.ok()) return *decided;
+  // Oracle unreachable (failover in progress). Answer with the write-wins
+  // order the oracle would have established, but flag the stall so
+  // RunProgramCycle aborts this program with a retriable Unavailable -- a
+  // fallback answer must never back an acknowledged result. Nothing
+  // leaks: the resolver caches only authoritative decisions, and the
+  // per-program order memo dies with the aborted context.
+  stats_.oracle_stalls.fetch_add(1, std::memory_order_relaxed);
+  oracle_stall_ = true;
+  return ClockOrder::kBefore;
+}
+
 OrderFn Shard::VisibilityOrderFn() {
-  return [this](const RefinableTimestamp& write_ts,
-                const RefinableTimestamp& read_ts) {
-    // Writes win ties: a transaction concurrent with a node program is
-    // ordered before it unless the oracle already knows otherwise
-    // (paper §4.1 -- programs never miss committed writes).
-    auto decided = resolver_.TryResolve(write_ts, read_ts,
-                                        OrderPreference::kPreferFirst);
-    if (decided.ok()) return *decided;
-    // Oracle unreachable (failover in progress). Answer with the
-    // write-wins order the oracle would have established, but flag the
-    // stall so RunProgramCycle aborts this program with a retriable
-    // Unavailable -- a fallback answer must never back an acknowledged
-    // result. Nothing leaks: the resolver caches only authoritative
-    // decisions, and the per-program order memo dies with the aborted
-    // context.
-    stats_.oracle_stalls.fetch_add(1, std::memory_order_relaxed);
-    oracle_stall_ = true;
-    return ClockOrder::kBefore;
+  constexpr EventId kNoEvent = ~EventId{0};
+  return [this, last_event = kNoEvent, last_order = ClockOrder::kConcurrent,
+          resolved = std::unordered_map<EventId, ClockOrder>()](
+             const RefinableTimestamp& write_ts,
+             const RefinableTimestamp& read_ts) mutable {
+    const ClockOrder by_clock = write_ts.Compare(read_ts);
+    if (by_clock != ClockOrder::kConcurrent) return by_clock;
+    const EventId event = write_ts.event_id();
+    if (event != last_event) {
+      auto [it, fresh] = resolved.try_emplace(event, ClockOrder::kConcurrent);
+      if (fresh) it->second = ResolveVisibility(write_ts, read_ts);
+      last_event = event;
+      last_order = it->second;
+    }
+    return last_order;
   };
 }
 
@@ -418,23 +435,16 @@ void Shard::OnHopBatch(WaveHopBatchMessage& batch) {
     ctx.program = options_.programs
                       ? options_.programs->Find(batch.program_name)
                       : nullptr;
-    // Visibility order memoized per write timestamp: the read side is
+    // Visibility order memoized per write event: the read side is
     // pinned to this program's ts, resolutions are committed (stable)
     // once made, and the context only ever runs on this shard's loop
-    // thread -- so repeat version checks (every edge scan re-compares
-    // the same created/deleted stamps) skip the resolver mutex
-    // entirely. This was the dominant per-vertex cost of the old
-    // per-wave path, which rebuilt the uncached fn every wave.
-    ctx.order = [this, cache = std::make_shared<
-                           std::unordered_map<EventId, ClockOrder>>(),
-                 base = VisibilityOrderFn()](
-                    const RefinableTimestamp& write_ts,
-                    const RefinableTimestamp& read_ts) {
-      auto [it, fresh] =
-          cache->try_emplace(write_ts.event_id(), ClockOrder::kConcurrent);
-      if (fresh) it->second = base(write_ts, read_ts);
-      return it->second;
-    };
+    // thread, so no lock guards the memo. Every check compares vector
+    // clocks first, which decides almost every pair; only a concurrent
+    // pair reaches the memo. A vertex's versions mostly share a few write
+    // events, so a one-entry memo on the last concurrent write answers
+    // most repeats before the per-program map is hashed, and the map
+    // asks the resolver once per event.
+    ctx.order = VisibilityOrderFn();
     ctx.coordinator = batch.coordinator;
     ctx.states = &program_state_[batch.program_id];
     ctx.visit_once = batch.visit_once;
@@ -445,12 +455,12 @@ void Shard::OnHopBatch(WaveHopBatchMessage& batch) {
                              std::memory_order_relaxed);
   }
   ProgramContext& ctx = it->second;
+  // The sender counted every hop spawned; consume each pruned or
+  // coalesced one on the spot so the coordinator's credit count still
+  // balances.
+  ctx.coalesced_credit += ClaimHops(ctx, batch.hops);
   for (NextHop& hop : batch.hops) {
-    if (!QueueLocalHop(ctx, std::move(hop))) {
-      // The sender counted this hop spawned; consume it on the spot so
-      // the coordinator's credit count still balances.
-      ctx.coalesced_credit++;
-    }
+    if (!QueueLocalHop(ctx, std::move(hop))) ctx.coalesced_credit++;
   }
   // A batch can coalesce/prune away entirely; with nothing pending no
   // cycle will run here, so the consumption credit must flow back now or
@@ -467,19 +477,27 @@ void Shard::OnHopBatch(WaveHopBatchMessage& batch) {
   }
 }
 
+std::size_t Shard::ClaimHops(ProgramContext& ctx,
+                             std::vector<NextHop>& hops) {
+  // VisitOnce programs: the first hop to reach a vertex decides, so a hop
+  // to a claimed vertex -- pending, visited or forwarded -- can never do
+  // anything. This is where BFS-style fan-in stops costing a full
+  // execution per in-edge.
+  if (!ctx.visit_once) return 0;
+  const std::size_t pruned = std::erase_if(
+      hops, [&](const NextHop& hop) { return !ctx.claimed.insert(hop.node); });
+  if (pruned != 0) {
+    stats_.hops_pruned.fetch_add(pruned, std::memory_order_relaxed);
+  }
+  return pruned;
+}
+
 bool Shard::QueueLocalHop(ProgramContext& ctx, NextHop hop) {
-  // Visited-vertex pruning (VisitOnce programs): a hop to a vertex whose
-  // program state is already set -- or that already has a hop pending,
-  // whatever its params -- can never do anything; drop it here instead
-  // of re-dispatching it. This is where BFS-style fan-in stops costing a
-  // full execution per in-edge.
+  // VisitOnce hops arrive claimed (ClaimHops); their claim set already
+  // covers every duplicate.
   if (ctx.visit_once) {
-    auto sit = ctx.states->find(hop.node);
-    if ((sit != ctx.states->end() && sit->second.has_value()) ||
-        ctx.pending_keys.count(hop.node) != 0) {
-      stats_.hops_pruned.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
+    ctx.pending.push_back(std::move(hop));
+    return true;
   }
   auto& entries = ctx.pending_keys[hop.node];
   const std::size_t h = std::hash<std::string>{}(hop.params);
@@ -562,8 +580,12 @@ void Shard::RunProgramCycle(ProgramId pid, ProgramContext& ctx) {
   std::vector<std::vector<NextHop>> remote(shard_endpoints_.size());
   const std::size_t max_hops = AdaptiveHopBudget();
   std::size_t executed = 0;
+  // One output buffer and one owner vector for the whole cycle: clearing
+  // keeps the capacity, so a vertex's fan-out does not reallocate them.
+  ProgramOutput out;
+  std::vector<std::optional<ShardId>> owners;
 
-  // Armed by VisibilityOrderFn when the oracle cannot be reached: the
+  // Armed by ResolveVisibility when the oracle cannot be reached: the
   // cycle stops early and the program aborts retriably below.
   oracle_stall_ = false;
 
@@ -571,8 +593,9 @@ void Shard::RunProgramCycle(ProgramId pid, ProgramContext& ctx) {
     // Unindex the head BEFORE popping (the index points at the live
     // deque element) so a later identical hop is NOT coalesced -- only
     // pending duplicates are provably redundant. Identity compare: this
-    // exact element, no hashing on the pop path.
-    {
+    // exact element, no hashing on the pop path. VisitOnce programs keep
+    // no index: their claims outlive the pop.
+    if (!ctx.visit_once) {
       const NextHop& head = ctx.pending.front();
       auto key_it = ctx.pending_keys.find(head.node);
       if (key_it != ctx.pending_keys.end()) {
@@ -593,8 +616,12 @@ void Shard::RunProgramCycle(ProgramId pid, ProgramContext& ctx) {
 
     const Node* node = graph_.FindNode(hop.node);
     NodeView view(node, ctx.ts, ctx.order);
-    std::any& state = states[hop.node];
-    ProgramOutput out;
+    // A VisitOnce vertex runs once per execution, so its state is never
+    // read back: a fresh scratch value stands in for the table entry.
+    std::any scratch;
+    std::any& state = ctx.visit_once ? scratch : states[hop.node];
+    out.next_hops.clear();
+    out.return_value.reset();
     if (ctx.program != nullptr) {
       ctx.program->Run(view, hop.params, &state, &out);
     }
@@ -602,26 +629,25 @@ void Shard::RunProgramCycle(ProgramId pid, ProgramContext& ctx) {
     if (out.return_value.has_value()) {
       acc->returns.emplace_back(hop.node, std::move(*out.return_value));
     }
-    for (NextHop& next : out.next_hops) {
-      auto owner = options_.locator != nullptr
-                       ? options_.locator->Lookup(next.node)
-                       : std::optional<ShardId>(options_.id);
+    // Claim before routing: a hop to a vertex that is pending, visited or
+    // already forwarded is pruned without an owner lookup, and each
+    // peer-owned vertex crosses the bus at most once.
+    ClaimHops(ctx, out.next_hops);
+    if (options_.locator != nullptr) {
+      options_.locator->LookupMany(out.next_hops, &owners);
+    } else {
+      owners.assign(out.next_hops.size(), options_.id);
+    }
+    for (std::size_t i = 0; i < out.next_hops.size(); ++i) {
+      NextHop& next = out.next_hops[i];
+      const std::optional<ShardId> owner = owners[i];
       if (!owner.has_value()) continue;  // unknown vertex: drop
       if (*owner == options_.id) {
         // Same shard: extend the local worklist -- a traversal that
         // stays here completes in this cycle without any messages. A
-        // coalesced or pruned local hop is simply never spawned.
-        if (QueueLocalHop(ctx, std::move(next))) {
-          acc->hops_spawned++;
-        }
+        // coalesced local hop is simply never spawned.
+        if (QueueLocalHop(ctx, std::move(next))) acc->hops_spawned++;
       } else if (*owner < remote.size()) {
-        // VisitOnce programs forward each remote vertex at most once:
-        // the first hop visits it, so every later one is a no-op that
-        // need not cross the bus.
-        if (ctx.visit_once && !ctx.forwarded.insert(next.node).second) {
-          stats_.hops_pruned.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
         remote[*owner].push_back(std::move(next));
         acc->hops_spawned++;
         stats_.hops_forwarded.fetch_add(1, std::memory_order_relaxed);
@@ -641,7 +667,9 @@ void Shard::RunProgramCycle(ProgramId pid, ProgramContext& ctx) {
   stats_.vertices_executed.fetch_add(acc->vertices_visited,
                                      std::memory_order_relaxed);
   stats_.hop_batches_sent.fetch_add(batches, std::memory_order_relaxed);
-  stats_.op_work_ns.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
+  const std::uint64_t hop_ns = NowNanos() - t0;
+  stats_.hop_exec_ns.fetch_add(hop_ns, std::memory_order_relaxed);
+  stats_.op_work_ns.fetch_add(hop_ns, std::memory_order_relaxed);
 
   // Accounting goes out BEFORE the hop batches: the coordinator must
   // register the spawn credits before any peer can report consuming

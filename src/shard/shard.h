@@ -24,7 +24,8 @@
 // (heads only advance), so it runs once per (shard, program). Eligible
 // hops execute as a local worklist (a traversal that stays on this shard
 // never leaves it); hops owned by peers batch into one message per peer
-// per drain cycle; exact (vertex, params) duplicates coalesce at ingress.
+// per drain cycle; exact (vertex, params) duplicates coalesce at ingress,
+// and VisitOnce programs prune every hop to an already-claimed vertex.
 // Each cycle ends with an accounting delta to the coordinator, which
 // detects quiescence by credit counting. Per-program scratch state lives
 // here until the coordinator sends EndProgram (paper §4.5).
@@ -48,6 +49,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/id_set.h"
 #include "common/ids.h"
 #include "common/queue.h"
 #include "core/locator.h"
@@ -129,7 +131,7 @@ class Shard {
     std::atomic<std::uint64_t> hop_batches_sent{0};
     /// Exact (vertex, params) duplicates dropped at ingress.
     std::atomic<std::uint64_t> hops_coalesced{0};
-    /// Hops to already-visited vertices dropped at ingress (VisitOnce
+    /// Hops to already-claimed vertices dropped at the spot (VisitOnce
     /// programs only).
     std::atomic<std::uint64_t> hops_pruned{0};
     /// ProgramContexts installed (first hop batch per program).
@@ -149,6 +151,10 @@ class Shard {
     /// This is the per-op service demand the Fig 12/13 scaling benches'
     /// model uses.
     std::atomic<std::uint64_t> op_work_ns{0};
+    /// The program-hop share of op_work_ns: RunProgramCycle time only
+    /// (executing, pruning and routing hops; the accounting and
+    /// hop-batch sends at the end of a cycle are not counted).
+    std::atomic<std::uint64_t> hop_exec_ns{0};
   };
 
   explicit Shard(Options options);
@@ -216,26 +222,29 @@ class Shard {
     EndpointId coordinator = 0;
     /// This program's per-vertex scratch-state table (interned pointer
     /// into program_state_; mapped references are rehash-stable).
+    /// Unused by VisitOnce programs: a vertex runs at most once there,
+    /// so no hop can ever read the state an earlier one left.
     std::unordered_map<NodeId, std::any>* states = nullptr;
-    /// program->VisitOnce(): hops to vertices whose state is already set
-    /// -- or that already have ANY hop pending -- are pruned at ingress
-    /// instead of re-dispatched, and each remote vertex is forwarded at
-    /// most once (`forwarded`).
+    /// program->VisitOnce(): the first hop to reach a vertex decides.
     bool visit_once = false;
-    /// Remote vertices this shard has already forwarded a hop to
-    /// (VisitOnce programs only): later hops to them are provably
-    /// no-ops, so they are dropped before they ever cross the bus.
-    std::unordered_set<NodeId> forwarded;
+    /// Claim set (VisitOnce programs only): every vertex this shard has
+    /// queued a hop for -- pending or already executed -- and every
+    /// peer-owned vertex it has forwarded one to. One insert per hop
+    /// decides it: a hop whose vertex is already claimed is a provable
+    /// no-op, pruned before any owner lookup, queueing or bus crossing.
+    IdSet claimed;
     /// Delay rule passed (paper §4.1). Sticky: queue heads only advance,
     /// so once every head is strictly after ts it stays that way.
     bool eligible = false;
     std::deque<NextHop> pending;
-    /// Ingress coalescing index over `pending`: vertex -> (params hash,
-    /// pointer to the queued hop's params). An arriving exact duplicate
-    /// -- hash match confirmed by a full compare -- is consumed on the
-    /// spot. Pointers target live deque elements (std::deque references
-    /// survive push/pop at the other end; each entry is unindexed before
-    /// its element pops), so no params string is ever copied.
+    /// Ingress coalescing index over `pending` (programs without
+    /// VisitOnce; the claim set covers the others): vertex -> (params
+    /// hash, pointer to the queued hop's params). An arriving exact
+    /// duplicate -- hash match confirmed by a full compare -- is consumed
+    /// on the spot. Pointers target live deque elements (std::deque
+    /// references survive push/pop at the other end; each entry is
+    /// unindexed before its element pops), so no params string is ever
+    /// copied.
     std::unordered_map<NodeId,
                        std::vector<std::pair<std::size_t, const std::string*>>>
         pending_keys;
@@ -265,10 +274,16 @@ class Shard {
   bool WaveEligible(const RefinableTimestamp& prog_ts);
 
   /// Ingests a hop batch: installs the context on first contact, then
-  /// queues hops with exact-duplicate coalescing.
+  /// claims (ClaimHops) and queues (QueueLocalHop) its hops.
   void OnHopBatch(WaveHopBatchMessage& batch);
-  /// Queues one hop unless an exact (vertex, params) duplicate is
-  /// already pending; returns false when coalesced.
+  /// VisitOnce programs: claims the vertex of every hop in `hops` and
+  /// erases each hop whose vertex an earlier hop already claimed; returns
+  /// how many were erased (counted in hops_pruned). Other programs: no-op.
+  std::size_t ClaimHops(ProgramContext& ctx, std::vector<NextHop>& hops);
+  /// Queues one local hop that ClaimHops has passed: VisitOnce hops go
+  /// straight on the worklist; any other hop is dropped when an exact
+  /// (vertex, params) duplicate is already pending. Returns false when
+  /// coalesced.
   bool QueueLocalHop(ProgramContext& ctx, NextHop hop);
   /// Executes up to AdaptiveHopBudget() pending hops of one eligible
   /// program, forwards spawned hops, and reports the accounting delta.
@@ -288,9 +303,14 @@ class Shard {
 
   void RunGc(const RefinableTimestamp& watermark);
 
-  /// Order function used for multi-version visibility during program
-  /// execution: write-wins preference (transactions order before programs
-  /// when no order exists, paper §4.1).
+  /// Visibility order of a write concurrent (by vector clock) with a
+  /// program's read: write-wins preference (transactions order before
+  /// programs when no order exists, paper §4.1), refined by the oracle.
+  ClockOrder ResolveVisibility(const RefinableTimestamp& write_ts,
+                               const RefinableTimestamp& read_ts);
+  /// Per-program order function for multi-version visibility checks:
+  /// vector clock first, then a one-entry memo on the last concurrent
+  /// write, then a per-program map, and only then ResolveVisibility.
   OrderFn VisibilityOrderFn();
 
   Options options_;
@@ -318,7 +338,7 @@ class Shard {
   std::unordered_set<ProgramId> finished_;
   std::deque<ProgramId> finished_order_;
 
-  /// Set by VisibilityOrderFn when the oracle was unreachable and a
+  /// Set by ResolveVisibility when the oracle was unreachable and a
   /// deterministic fallback order was used; RunProgramCycle checks it
   /// after each hop and aborts the program retriably (the fallback
   /// answer must never become an acknowledged result). Loop-thread

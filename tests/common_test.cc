@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/histogram.h"
+#include "common/id_set.h"
 #include "common/queue.h"
 #include "common/serde.h"
 #include "common/sync.h"
@@ -151,6 +152,53 @@ TEST(SerdeTest, TruncatedStringLengthFails) {
   ByteReader r(bytes);
   std::string s;
   EXPECT_TRUE(r.GetString(&s).IsInternal());
+}
+
+TEST(SerdeTest, VarintRoundTripAndTruncation) {
+  const std::uint64_t values[] = {0, 1, 127, 128, 300, 1ULL << 35, ~0ULL};
+  ByteWriter w;
+  for (std::uint64_t v : values) w.PutVarint(v);
+  const std::string bytes = w.Take();
+  EXPECT_EQ(bytes[0], '\0');  // small values take one byte
+  ByteReader r(bytes);
+  for (std::uint64_t v : values) {
+    std::uint64_t got = 0;
+    ASSERT_TRUE(r.GetVarint(&got).ok());
+    EXPECT_EQ(got, v);
+  }
+  EXPECT_TRUE(r.AtEnd());
+  ByteWriter big;
+  big.PutVarint(1ULL << 40);
+  std::string cut = big.Take();
+  cut.pop_back();  // drop the terminating byte
+  ByteReader rc(cut);
+  std::uint64_t v = 0;
+  EXPECT_TRUE(rc.GetVarint(&v).IsInternal());
+}
+
+// ---- IdSet -------------------------------------------------------------------
+
+TEST(IdSetTest, InsertReportsFirstArrivalOnly) {
+  IdSet set;
+  EXPECT_TRUE(set.insert(7));
+  EXPECT_FALSE(set.insert(7));
+  // The all-ones id doubles as the table's free-slot marker.
+  EXPECT_TRUE(set.insert(~0ULL));
+  EXPECT_FALSE(set.insert(~0ULL));
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_EQ(set.size(), 3u);
+}
+
+TEST(IdSetTest, GrowthKeepsEveryId) {
+  IdSet set;
+  constexpr std::uint64_t kCount = 10000;
+  // Strided ids: clustered low bits must still spread over the table.
+  for (std::uint64_t i = 0; i < kCount; ++i) EXPECT_TRUE(set.insert(i * 64));
+  EXPECT_EQ(set.size(), kCount);
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    EXPECT_FALSE(set.insert(i * 64));
+  }
+  EXPECT_EQ(set.size(), kCount);
 }
 
 // ---- BlockingQueue -----------------------------------------------------------

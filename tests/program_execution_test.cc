@@ -327,5 +327,160 @@ TEST(ProgramExecutionTest, AccountingCountersReflectTopology) {
   }
 }
 
+// Cross-shard fan-in: in K(8,8) with edges both ways every vertex is
+// reached from 8 in-edges spread over 3 shards. The first hop to reach a
+// vertex claims it, so each reachable vertex runs (and returns) exactly
+// once however the hops race across shards -- and hop execution shows up
+// in its own per-shard time counter, inside op_work_ns.
+TEST(ProgramExecutionTest, CrossShardFanInRunsEachVertexOnce) {
+  auto db = Weaver::Open(FastOptions(2, 3));
+  constexpr int kSide = 8;
+  std::vector<NodeId> left, right;
+  {
+    auto tx = db->BeginTx();
+    for (int i = 0; i < kSide; ++i) left.push_back(tx.CreateNode());
+    for (int i = 0; i < kSide; ++i) right.push_back(tx.CreateNode());
+    ASSERT_TRUE(db->Commit(&tx).ok());
+  }
+  {
+    auto tx = db->BeginTx();
+    for (NodeId l : left) {
+      for (NodeId r : right) {
+        tx.CreateEdge(l, r);
+        tx.CreateEdge(r, l);
+      }
+    }
+    ASSERT_TRUE(db->Commit(&tx).ok());
+  }
+  std::uint64_t executed_before = 0;
+  for (std::size_t s = 0; s < db->num_shards(); ++s) {
+    executed_before +=
+        db->shard(static_cast<ShardId>(s)).stats().vertices_executed.load();
+  }
+  auto result =
+      db->RunProgram(programs::kBfs, left[0], programs::BfsParams{}.Encode());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  std::vector<NodeId> expected(left);
+  expected.insert(expected.end(), right.begin(), right.end());
+  std::sort(expected.begin(), expected.end());
+  std::vector<NodeId> returned;
+  for (const auto& [node, _] : result->returns) returned.push_back(node);
+  std::sort(returned.begin(), returned.end());
+  EXPECT_EQ(returned, expected) << "every reachable vertex returns once";
+
+  std::uint64_t executed = 0, hop_ns = 0;
+  for (std::size_t s = 0; s < db->num_shards(); ++s) {
+    const auto& st = db->shard(static_cast<ShardId>(s)).stats();
+    executed += st.vertices_executed.load();
+    hop_ns += st.hop_exec_ns.load();
+    EXPECT_LE(st.hop_exec_ns.load(), st.op_work_ns.load()) << "shard " << s;
+  }
+  EXPECT_EQ(executed - executed_before, expected.size());
+  EXPECT_GT(hop_ns, 0u);
+}
+
+// Visibility over versions from interleaved writers. Gatekeepers A and B
+// take turns writing one vertex's edges; the historical read runs on a
+// third gatekeeper C, whose clock may not have caught up with any of
+// them, so each write event can be concurrent with the read and resolved
+// through the per-program order memo -- with the edge scan switching
+// between events. One edge is deleted before the read, one is created
+// after it (on C: ordered after by C's own sequence).
+TEST(ProgramExecutionTest, HistoricalEdgesFromInterleavedWriters) {
+  WeaverOptions o = FastOptions(3, 2);
+  o.tau_micros = 5000;  // slow announces: more pairs stay concurrent
+  o.gc_period_micros = 0;
+  auto db = Weaver::Open(o);
+  WeaverClient client(db.get());
+  auto a = client.OpenSessionOn(0);
+  auto b = client.OpenSessionOn(1);
+  auto c = client.OpenSessionOn(2);
+
+  NodeId v = kInvalidNodeId;
+  std::vector<NodeId> targets;
+  std::map<NodeId, EdgeId> edges;  // target -> edge
+  ASSERT_TRUE(a->RunTransaction([&](Transaction& tx) {
+                 targets.clear();
+                 edges.clear();
+                 v = tx.CreateNode();
+                 for (int i = 0; i < 7; ++i) targets.push_back(tx.CreateNode());
+                 edges[targets[0]] = tx.CreateEdge(v, targets[0]);
+                 return Status::Ok();
+               }).ok());
+  // B, A, B: each writes new edges of v; B's first write also adds the
+  // edge that its second one deletes.
+  ASSERT_TRUE(b->RunTransaction([&](Transaction& tx) {
+                 edges[targets[1]] = tx.CreateEdge(v, targets[1]);
+                 edges[targets[2]] = tx.CreateEdge(v, targets[2]);
+                 return Status::Ok();
+               }).ok());
+  ASSERT_TRUE(a->RunTransaction([&](Transaction& tx) {
+                 edges[targets[3]] = tx.CreateEdge(v, targets[3]);
+                 return Status::Ok();
+               }).ok());
+  ASSERT_TRUE(b->RunTransaction([&](Transaction& tx) {
+                 edges[targets[4]] = tx.CreateEdge(v, targets[4]);
+                 return tx.DeleteEdge(v, edges[targets[2]]);
+               }).ok());
+  // The read's timestamp: a write on C to an unrelated vertex.
+  Transaction marker = c->BeginTx();
+  marker.CreateNode();
+  ASSERT_TRUE(c->Commit(&marker).ok());
+  const RefinableTimestamp then = marker.timestamp();
+  ASSERT_TRUE(c->RunTransaction([&](Transaction& tx) {
+                 edges[targets[5]] = tx.CreateEdge(v, targets[5]);
+                 return Status::Ok();
+               }).ok());
+
+  auto read = db->RunProgramAt(programs::kGetEdges, {NextHop{v, ""}}, then);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read->returns.size(), 1u);
+  auto seen =
+      programs::GetEdgesResult::Decode(read->returns[0].second).edges;
+  std::sort(seen.begin(), seen.end());
+  std::vector<std::pair<EdgeId, NodeId>> expected;
+  for (int i : {0, 1, 3, 4}) {
+    expected.emplace_back(edges[targets[i]], targets[i]);
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(seen, expected);
+}
+
+// The compact BfsParams encoding round-trips every field, and
+// filter-free params stay within std::string's inline buffer (15 bytes),
+// so copying them into each spawned hop never allocates.
+TEST(ProgramExecutionTest, BfsParamsRoundTrip) {
+  auto same = [](const programs::BfsParams& x, const programs::BfsParams& y) {
+    return x.edge_prop_key == y.edge_prop_key &&
+           x.edge_prop_value == y.edge_prop_value && x.target == y.target &&
+           x.depth == y.depth && x.max_depth == y.max_depth;
+  };
+  programs::BfsParams plain;
+  EXPECT_TRUE(same(programs::BfsParams::Decode(plain.Encode()), plain));
+  EXPECT_TRUE(same(programs::BfsParams::Decode(""), plain));
+
+  programs::BfsParams bounded;
+  bounded.target = 123456789;
+  bounded.depth = 3;
+  bounded.max_depth = 6;
+  EXPECT_TRUE(same(programs::BfsParams::Decode(bounded.Encode()), bounded));
+
+  programs::BfsParams unset_target;
+  unset_target.target = UINT64_MAX;
+  unset_target.max_depth = 2;
+  EXPECT_TRUE(
+      same(programs::BfsParams::Decode(unset_target.Encode()), unset_target));
+
+  programs::BfsParams filtered = bounded;
+  filtered.edge_prop_key = "type";
+  filtered.edge_prop_value = "follows";
+  EXPECT_TRUE(same(programs::BfsParams::Decode(filtered.Encode()), filtered));
+
+  for (const auto* p : {&plain, &bounded, &unset_target}) {
+    EXPECT_LE(p->Encode().size(), 15u);
+  }
+}
+
 }  // namespace
 }  // namespace weaver
