@@ -23,20 +23,19 @@
 // figure: Weaver's evaluation (§6) measures steady state; this bench
 // guards the robustness layer the deployment needs around it.
 //
-// With --exec the deployment bootstraps over TCP instead of the fork
-// protocol (docs/transport.md#cluster-bootstrap): every server process
-// -- shards, the oracle service, AND out-of-parent gatekeepers -- is an
-// exec'd weaver-serverd that joined through the cluster listener's
-// handshake, and the supervisor respawns crashed processes by exec
-// (release slot -> re-open at the bumped epoch -> spawn -> accept join)
-// instead of consuming a warm-spare pool. --exec --chaos additionally
-// SIGKILLs one gatekeeper process mid-load: the supervisor must fence
-// it, advance the epoch, exec a replacement, and re-route -- with zero
+// Every server process is an exec'd weaver-serverd that joined through
+// the cluster listener's handshake (cluster::LaunchServers,
+// docs/transport.md#cluster-bootstrap), and the supervisor respawns a
+// crashed one by exec (release slot -> re-open at the bumped epoch ->
+// spawn -> accept join). By default the shards and the oracle service run
+// out of the parent and the gatekeepers in it. --exec moves the
+// gatekeepers out of the parent too, and --exec --chaos additionally
+// SIGKILLs one gatekeeper process mid-load: the supervisor must fence it,
+// advance the epoch, exec a replacement, and re-route -- with zero
 // acknowledged writes lost and zero order inversions, same as ever.
 #include <signal.h>
 
 #include <stdlib.h>
-#include <sys/wait.h>
 
 #include <algorithm>
 #include <atomic>
@@ -160,125 +159,6 @@ bool AwaitRecoveries(Weaver* db, std::uint64_t want_shards,
   return false;
 }
 
-// --- TCP-bootstrap (--exec) mode --------------------------------------------
-
-/// Everything the exec'd deployment shares between initial bootstrap and
-/// the supervisor's respawn hook: the listener, the assignment image,
-/// and the pid ledger for final reaping (processes the supervisor fenced
-/// are reaped by it; everything else is reaped at teardown).
-struct ExecCluster {
-  std::unique_ptr<cluster::ClusterListener> listener;
-  RoleAssignMessage assign;
-  std::string token = "chaos-secret";
-  std::vector<int> shard_fds;
-  std::vector<pid_t> shard_pids;
-  std::vector<int> gk_fds;
-  std::vector<pid_t> gk_pids;
-  int oracle_fd = -1;
-  pid_t oracle_pid = -1;
-  std::mutex mu;
-  std::vector<pid_t> all_pids;
-};
-
-bool BootExecCluster(const serverd::ShardServerOptions& so, ExecCluster* ec) {
-  cluster::ClusterListener::Options lo;
-  lo.token = ec->token;
-  auto listener = cluster::ClusterListener::Open(lo);
-  if (!listener.ok()) {
-    std::fprintf(stderr, "exec: listener open failed: %s\n",
-                 listener.status().ToString().c_str());
-    return false;
-  }
-  ec->listener = std::move(*listener);
-  ec->assign = serverd::AssignmentFromOptions(so);
-  cluster::ClusterListener& l = *ec->listener;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    if (!l.OpenSlot(NodeRole::kShard, s, ec->assign).ok()) return false;
-  }
-  for (std::size_t g = 0; g < kGatekeepers; ++g) {
-    if (!l.OpenSlot(NodeRole::kGatekeeper, g, ec->assign).ok()) return false;
-  }
-  if (!l.OpenSlot(NodeRole::kOracle, 0, ec->assign).ok()) return false;
-
-  auto spawn = [&](NodeRole role, std::uint32_t id) {
-    auto pid =
-        cluster::SpawnServerd(WEAVER_SERVERD_BIN, l.port(), ec->token, role, id);
-    if (!pid.ok()) {
-      std::fprintf(stderr, "exec: spawn failed: %s\n",
-                   pid.status().ToString().c_str());
-      return false;
-    }
-    ec->all_pids.push_back(*pid);
-    return true;
-  };
-  for (std::size_t s = 0; s < kShards; ++s) {
-    if (!spawn(NodeRole::kShard, s)) return false;
-  }
-  for (std::size_t g = 0; g < kGatekeepers; ++g) {
-    if (!spawn(NodeRole::kGatekeeper, g)) return false;
-  }
-  if (!spawn(NodeRole::kOracle, 0)) return false;
-
-  ec->shard_fds.assign(kShards, -1);
-  ec->shard_pids.assign(kShards, -1);
-  ec->gk_fds.assign(kGatekeepers, -1);
-  ec->gk_pids.assign(kGatekeepers, -1);
-  for (std::size_t i = 0; i < kShards + kGatekeepers + 1; ++i) {
-    auto joined = l.AcceptJoin();
-    if (!joined.ok()) {
-      std::fprintf(stderr, "exec: join failed: %s\n",
-                   joined.status().ToString().c_str());
-      return false;
-    }
-    switch (joined->role) {
-      case NodeRole::kShard:
-        ec->shard_fds[joined->shard_id] = joined->fd;
-        ec->shard_pids[joined->shard_id] = static_cast<pid_t>(joined->pid);
-        break;
-      case NodeRole::kGatekeeper:
-        ec->gk_fds[joined->shard_id] = joined->fd;
-        ec->gk_pids[joined->shard_id] = static_cast<pid_t>(joined->pid);
-        break;
-      case NodeRole::kOracle:
-        ec->oracle_fd = joined->fd;
-        ec->oracle_pid = static_cast<pid_t>(joined->pid);
-        break;
-      case NodeRole::kSpare:
-        std::fprintf(stderr, "exec: unexpected spare join\n");
-        return false;
-    }
-  }
-  return true;
-}
-
-/// The supervisor's exec respawn hook: release the dead slot, re-open it
-/// at the bumped epoch, spawn a fresh serverd, and accept its join.
-Result<serverd::ShardProcess> ExecRespawn(const std::shared_ptr<ExecCluster>& ec,
-                                          NodeRole role, std::uint32_t id,
-                                          bool rehydrate,
-                                          std::uint32_t epoch) {
-  cluster::ClusterListener& l = *ec->listener;
-  l.ReleaseRole(role, id);
-  l.set_cluster_epoch(epoch);
-  RoleAssignMessage assign = ec->assign;
-  assign.rehydrate = rehydrate;
-  Status st = l.OpenSlot(role, id, std::move(assign));
-  if (!st.ok()) return st;
-  auto pid = cluster::SpawnServerd(WEAVER_SERVERD_BIN, l.port(), ec->token,
-                                   role, id);
-  if (!pid.ok()) return pid.status();
-  {
-    std::lock_guard<std::mutex> lk(ec->mu);
-    ec->all_pids.push_back(*pid);
-  }
-  auto joined = l.AcceptJoin();
-  if (!joined.ok()) return joined.status();
-  serverd::ShardProcess process;
-  process.pid = *pid;
-  process.parent_fd = joined->fd;
-  return process;
-}
-
 /// Synthetic timestamps for the timeline-order ledger: pairwise
 /// concurrent (distinct gatekeepers, incomparable counters) in an epoch
 /// far above anything the deployment's GC watermark can reach, so the
@@ -316,58 +196,16 @@ int Run(bool chaos, bool exec_mode) {
     oracle_dir = dir;
   }
   so.oracle_data_dir = oracle_dir;
-
-  // Either bootstrap shape yields connected fds + pids for the parent.
-  std::vector<int> shard_fds;
-  std::vector<pid_t> shard_pids;
-  int oracle_fd = -1;
-  pid_t oracle_pid = -1;
-  std::vector<serverd::ShardProcess> fork_children;
-  std::vector<serverd::ShardProcess> fork_spares;
-  serverd::ShardProcess fork_oracled;
-  auto ec = std::make_shared<ExecCluster>();
-  if (exec_mode) {
-    // TCP bootstrap: everything is an exec'd weaver-serverd, including
-    // out-of-parent gatekeepers; respawn is by exec, so no spare pool.
-    so.remote_gatekeepers = true;
-    so.tau_micros = 300;        // must mirror the parent WeaverOptions:
-    so.nop_period_micros = 300;  // the assignment is the children's config
-    if (!BootExecCluster(so, ec.get())) return 1;
-    shard_fds = ec->shard_fds;
-    shard_pids = ec->shard_pids;
-    oracle_fd = ec->oracle_fd;
-    oracle_pid = ec->oracle_pid;
-  } else {
-    // Fork shard servers, the oracle service, and the spare pool BEFORE
-    // any thread exists. The spares are generic: each can become a shard
-    // or the oracle, so one pool covers both failure kinds.
-    auto children = serverd::SpawnShardServers(so);
-    if (!children.ok()) {
-      std::fprintf(stderr, "spawn failed: %s\n",
-                   children.status().ToString().c_str());
-      return 1;
-    }
-    fork_children = *children;
-    auto oracled = serverd::SpawnOracleServer(so);
-    if (!oracled.ok()) {
-      std::fprintf(stderr, "oracle spawn failed: %s\n",
-                   oracled.status().ToString().c_str());
-      return 1;
-    }
-    fork_oracled = *oracled;
-    auto spares = serverd::SpawnSpareServers(so, kShards + 1);
-    if (!spares.ok()) {
-      std::fprintf(stderr, "spare spawn failed: %s\n",
-                   spares.status().ToString().c_str());
-      return 1;
-    }
-    fork_spares = *spares;
-    for (const auto& child : fork_children) {
-      shard_fds.push_back(child.parent_fd);
-      shard_pids.push_back(child.pid);
-    }
-    oracle_fd = fork_oracled.parent_fd;
-    oracle_pid = fork_oracled.pid;
+  // --exec: the gatekeepers run out of the parent as well.
+  so.remote_gatekeepers = exec_mode;
+  so.tau_micros = 300;        // must mirror the parent WeaverOptions:
+  so.nop_period_micros = 300;  // the assignment is the children's config
+  auto servers =
+      cluster::LaunchServers(so, WEAVER_SERVERD_BIN, "chaos-secret");
+  if (!servers.ok()) {
+    std::fprintf(stderr, "launch failed: %s\n",
+                 servers.status().ToString().c_str());
+    return 1;
   }
 
   ChaosStats stats;
@@ -383,26 +221,9 @@ int Run(bool chaos, bool exec_mode) {
     o.metrics_poll_period_micros = 0;
     o.supervision.enabled = true;
     o.supervision.poll_period_micros = 5'000;
-    o.oracle_service.enabled = true;
-    o.oracle_service.pid = oracle_pid;
-    o.oracle_service.fd = oracle_fd;
-    o.remote_shard_fds = shard_fds;
-    o.supervision.shard_pids = shard_pids;
-    if (exec_mode) {
-      o.remote_gatekeeper_fds = ec->gk_fds;
-      o.supervision.gatekeeper_pids = ec->gk_pids;
-      o.supervision.exec_respawn = [ec](NodeRole role, std::uint32_t id,
-                                        bool rehydrate, std::uint32_t epoch) {
-        return ExecRespawn(ec, role, id, rehydrate, epoch);
-      };
-    } else {
-      for (const auto& spare : fork_spares) {
-        o.supervision.spare_pids.push_back(spare.pid);
-        o.supervision.spare_fds.push_back(spare.parent_fd);
-      }
-    }
+    servers->Configure(&o);
     // Each shard's ORIGINAL transport gets a one-shot kill plan; the
-    // respawned spare's transport is left bare (each shard dies once).
+    // respawned process's transport is left bare (each shard dies once).
     auto armed = std::make_shared<std::mutex>();
     auto armed_shards = std::make_shared<std::vector<bool>>(kShards, false);
     if (chaos) {
@@ -479,14 +300,13 @@ int Run(bool chaos, bool exec_mode) {
         // fence it (failing its in-flight client waiters), advance the
         // epoch, exec a replacement, and re-route -- while clients retry
         // through Unavailable with no acknowledged write lost.
-        ::kill(ec->gk_pids[0], SIGKILL);
+        ::kill(servers->gatekeeper_pids[0], SIGKILL);
       }
       if (chaos && i == kRounds / 2) {
         // Hard-kill the oracle service mid-load: the supervisor must
-        // fence it, respawn a replacement (a spare, or by exec), and
-        // replay the changelog while shard-side callers retry through
-        // Unavailable.
-        ::kill(oracle_pid, SIGKILL);
+        // fence it, exec a replacement, and replay the changelog while
+        // shard-side callers retry through Unavailable.
+        ::kill(servers->oracle_pid, SIGKILL);
       }
       NodeId created = kInvalidNodeId;
       if (!CommitAcknowledged(session.get(), ring[i % kRingVertices],
@@ -575,14 +395,14 @@ int Run(bool chaos, bool exec_mode) {
                    "records\n");
       all_reads_ok = false;
     }
-    // Under --exec every recovery (shards + oracle + gatekeeper) must
-    // have gone through the exec hook -- there is no spare pool to
-    // silently absorb one.
-    if (chaos && exec_mode &&
-        local.CounterValue("supervisor.exec_respawns") < kShards + 2) {
+    // Every recovery (shards + oracle, + a gatekeeper under --exec) must
+    // have gone through the exec hook.
+    const std::size_t want_respawns = kShards + 1 + (exec_mode ? 1 : 0);
+    if (chaos &&
+        local.CounterValue("supervisor.exec_respawns") < want_respawns) {
       std::fprintf(stderr,
                    "chaos: expected %zu exec respawns, saw %llu\n",
-                   kShards + 2,
+                   want_respawns,
                    static_cast<unsigned long long>(
                        local.CounterValue("supervisor.exec_respawns")));
       all_reads_ok = false;
@@ -650,24 +470,11 @@ int Run(bool chaos, bool exec_mode) {
     }
     db->Shutdown();
   }
-  if (exec_mode) {
-    // Reap everything the exec path spawned. Processes the supervisor
-    // fenced were reaped by it (waitpid fails with ECHILD -- skip);
-    // everything still alive exits 0 once the parent tears down.
-    for (const pid_t pid : ec->all_pids) {
-      int status = 0;
-      if (::waitpid(pid, &status, 0) != pid) continue;
-      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-        std::fprintf(stderr,
-                     "chaos: serverd pid %d exited abnormally (status %d)\n",
-                     static_cast<int>(pid), status);
-        return 1;
-      }
-    }
-  } else if (!serverd::WaitShardServers(fork_children).ok() ||
-             !serverd::WaitShardServers({fork_oracled}).ok() ||
-             !serverd::WaitShardServers(fork_spares).ok()) {
-    std::fprintf(stderr, "chaos: a shard process exited abnormally\n");
+  // Processes the supervisor fenced were reaped by it; everything still
+  // alive exits 0 once the parent tears down.
+  const Status reaped = servers->Wait();
+  if (!reaped.ok()) {
+    std::fprintf(stderr, "chaos: %s\n", reaped.ToString().c_str());
     return 1;
   }
   std::error_code fs_ec;
@@ -692,6 +499,17 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--chaos") == 0) chaos = true;
     if (std::strcmp(argv[i], "--exec") == 0) exec_mode = true;
+    if (std::strcmp(argv[i], "--help") == 0) {
+      std::printf(
+          "usage: %s [--chaos] [--exec] [--json=DIR]\n"
+          "  Shards and the oracle service always run as exec'd\n"
+          "  weaver-serverd processes; the supervisor respawns by exec.\n"
+          "  --chaos  SIGKILL every shard process and the oracle mid-load\n"
+          "  --exec   run the gatekeepers out of the parent too; with\n"
+          "           --chaos, also SIGKILL one gatekeeper process\n",
+          argv[0]);
+      return 0;
+    }
   }
   weaver::bench::ParseJsonOutput(argc, argv);
   return weaver::bench::Run(chaos, exec_mode);

@@ -1,12 +1,12 @@
-// Timeline-oracle microbenchmark (paper §3.4): the oracle is chain
-// replicated; updates execute at the head while read-only order queries
-// are served by any replica, scaling reads to ~6M queries/sec on the
-// paper's 12-server chain.
+// Timeline-oracle microbenchmark (paper §3.4): the paper's oracle is
+// chain replicated; updates execute at the head while read-only order
+// queries are served by any replica, scaling reads to ~6M queries/sec on
+// a 12-server chain.
 //
-// This bench measures (a) single-replica query throughput over a
-// pre-populated dependency DAG, (b) multi-threaded read scaling through
-// the simulated chain, and (c) order-establishment (write) throughput at
-// the head. Uses google-benchmark.
+// This bench measures (a) query throughput over a pre-populated
+// dependency DAG, (b) multi-threaded read scaling over the shared query
+// lock, and (c) order-establishment (write) throughput. Uses
+// google-benchmark.
 // Also home to the backing-store group-commit benchmark: persistence
 // overhead (off vs buffered WAL vs group-commit fsync) tracked across PRs
 // via the shared --durability knob machinery (bench/harness.h).
@@ -19,7 +19,6 @@
 #include "common/random.h"
 #include "harness.h"
 #include "kvstore/kvstore.h"
-#include "oracle/chain.h"
 #include "oracle/timeline_oracle.h"
 
 namespace weaver {
@@ -79,30 +78,30 @@ void BM_OracleQueryDagResolved(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleQueryDagResolved);
 
-void BM_OracleChainReadScaling(benchmark::State& state) {
-  static OracleChain* chain = nullptr;
+void BM_OracleReadScaling(benchmark::State& state) {
+  static TimelineOracle* oracle = nullptr;
   static std::vector<RefinableTimestamp>* events = nullptr;
   if (state.thread_index() == 0) {
-    chain = new OracleChain(12);  // the paper's 12-server chain
+    oracle = new TimelineOracle();
     events = new std::vector<RefinableTimestamp>(MakeEvents(1024, 3));
     for (std::size_t i = 0; i + 1 < 64; ++i) {
-      chain->OrderAtHead((*events)[i], (*events)[i + 1],
-                         OrderPreference::kPreferFirst);
+      oracle->OrderPair((*events)[i], (*events)[i + 1],
+                        OrderPreference::kPreferFirst);
     }
   }
   Rng rng(100 + static_cast<std::uint64_t>(state.thread_index()));
   for (auto _ : state) {
     const auto& a = (*events)[rng.Uniform(events->size())];
     const auto& b = (*events)[rng.Uniform(events->size())];
-    benchmark::DoNotOptimize(chain->QueryAnyReplica(a, b));
+    benchmark::DoNotOptimize(oracle->QueryOrder(a, b));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   if (state.thread_index() == 0) {
-    delete chain;
+    delete oracle;
     delete events;
   }
 }
-BENCHMARK(BM_OracleChainReadScaling)->Threads(1)->Threads(2)->Threads(4);
+BENCHMARK(BM_OracleReadScaling)->Threads(1)->Threads(2)->Threads(4);
 
 void BM_OracleOrderEstablishment(benchmark::State& state) {
   // Fresh concurrent pairs each iteration: the expensive head-of-chain

@@ -2,11 +2,13 @@
 // (docs/transport.md#multi-process).
 //
 // Boots a Weaver deployment whose SHARD SERVERS RUN AS SEPARATE OS
-// PROCESSES, connected to the parent over stream sockets carrying wire
-// frames (net/wire.h). The parent runs the gatekeeper bank, the backing
-// store, the program coordinator, and the client sessions; each child
-// runs one shard server (coord/serverd.h). Shard-to-shard node-program
-// hop forwarding transits the parent as a hub, without being decoded.
+// PROCESSES: each is an exec'd weaver-serverd binary that joined this
+// process's cluster listener over loopback TCP (cluster::LaunchServers)
+// and now speaks wire frames (net/wire.h) over that socket. This parent
+// runs the gatekeeper bank, the backing store, the program coordinator,
+// and the client sessions; each child runs one shard server
+// (coord/serverd.h). Shard-to-shard node-program hop forwarding transits
+// the parent as a hub, without being decoded.
 //
 //   ./example_weaver_serverd [num_shards] [--metrics | --metrics=json]
 //
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "client/weaver_client.h"
+#include "cluster/bootstrap.h"
 #include "coord/serverd.h"
 #include "core/weaver.h"
 #include "programs/standard_programs.h"
@@ -48,28 +51,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 1. Fork the shard-server children FIRST: threads do not survive
-  //    fork, so the parent deployment must not exist yet.
+  // 1. Exec the shard servers and accept their joins.
   serverd::ShardServerOptions so;
   so.num_shards = num_shards;
   so.num_gatekeepers = 2;
-  auto children = serverd::SpawnShardServers(so);
-  if (!children.ok()) {
-    std::fprintf(stderr, "spawn failed: %s\n",
-                 children.status().ToString().c_str());
+  auto servers = cluster::LaunchServers(so, WEAVER_SERVERD_BIN, "example");
+  if (!servers.ok()) {
+    std::fprintf(stderr, "launch failed: %s\n",
+                 servers.status().ToString().c_str());
     return 1;
   }
   std::printf("weaver-serverd: %zu shard server processes:", num_shards);
-  for (const auto& child : *children) std::printf(" pid=%d", child.pid);
+  for (const pid_t pid : servers->shard_pids) std::printf(" pid=%d", pid);
   std::printf("\n");
 
   // 2. The parent deployment speaks to them over the sockets.
   WeaverOptions options;
   options.num_shards = num_shards;
   options.num_gatekeepers = 2;
-  for (const auto& child : *children) {
-    options.remote_shard_fds.push_back(child.parent_fd);
-  }
+  servers->Configure(&options);
   auto db = Weaver::Open(options);
   if (db == nullptr) {
     std::fprintf(stderr, "deployment failed to open\n");
@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
   //    EOF and exit, and the parent reaps them.
   db->Shutdown();
   db.reset();
-  const Status reaped = serverd::WaitShardServers(*children);
+  const Status reaped = servers->Wait();
   if (!reaped.ok()) {
     std::fprintf(stderr, "child exit: %s\n", reaped.ToString().c_str());
     return 1;

@@ -4,16 +4,20 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/message_codec.h"
+#include "core/weaver.h"
 #include "net/transport.h"
 #include "net/wire.h"
 
@@ -288,6 +292,169 @@ Result<pid_t> SpawnServerd(const std::string& binary, std::uint16_t port,
     ::_exit(127);
   }
   return pid;
+}
+
+struct LaunchedServers::Shared {
+  std::unique_ptr<ClusterListener> listener;
+  RoleAssignMessage assign;
+  std::string binary;
+  std::string token;
+  mutable Mutex mu;
+  std::vector<pid_t> pids GUARDED_BY(mu);
+
+  /// Execs one serverd for (role, id) and records it in the ledger.
+  Result<pid_t> Spawn(NodeRole role, std::uint32_t id) {
+    auto pid = SpawnServerd(binary, listener->port(), token, role, id);
+    if (pid.ok()) {
+      MutexLock lk(mu);
+      pids.push_back(*pid);
+    }
+    return pid;
+  }
+
+  /// The respawn hook's body (serverd::RespawnFn).
+  Result<serverd::ShardProcess> Respawn(NodeRole role, std::uint32_t id,
+                                        bool rehydrate, std::uint32_t epoch) {
+    listener->ReleaseRole(role, id);
+    listener->set_cluster_epoch(epoch);
+    RoleAssignMessage a = assign;
+    a.rehydrate = rehydrate;
+    WEAVER_RETURN_IF_ERROR(listener->OpenSlot(role, id, std::move(a)));
+    WEAVER_ASSIGN_OR_RETURN(const pid_t pid, Spawn(role, id));
+    auto joined = listener->AcceptJoin();
+    if (!joined.ok()) {
+      ::kill(pid, SIGKILL);  // never joined; Wait() reaps it
+      return joined.status();
+    }
+    return serverd::ShardProcess{pid, joined->fd};
+  }
+
+  /// Failed launch: nothing spawned may outlive it.
+  void KillAll() {
+    MutexLock lk(mu);
+    for (const pid_t pid : pids) {
+      ::kill(pid, SIGKILL);
+      (void)::waitpid(pid, nullptr, 0);
+    }
+    pids.clear();
+  }
+};
+
+void LaunchedServers::Configure(WeaverOptions* options) const {
+  options->remote_shard_fds = shard_fds;
+  options->remote_gatekeeper_fds = gatekeeper_fds;
+  options->oracle_service.enabled = oracle_fd >= 0;
+  options->oracle_service.fd = oracle_fd;
+  options->oracle_service.pid = oracle_pid;
+  options->supervision.shard_pids = shard_pids;
+  options->supervision.gatekeeper_pids = gatekeeper_pids;
+  options->supervision.exec_respawn = respawn;
+}
+
+Status LaunchedServers::Wait() const {
+  std::vector<pid_t> pids;
+  {
+    MutexLock lk(shared->mu);
+    pids = shared->pids;
+  }
+  Status result = Status::Ok();
+  for (const pid_t pid : pids) {
+    int status = 0;
+    if (::waitpid(pid, &status, 0) != pid) {
+      // ECHILD: the supervisor reaped this pid when it fenced the process.
+      if (errno == ECHILD) continue;
+      result = Status::Internal(std::string("waitpid: ") +
+                                std::strerror(errno));
+      continue;
+    }
+    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+      result = Status::Internal("serverd pid " + std::to_string(pid) +
+                                " exited abnormally (status " +
+                                std::to_string(status) + ")");
+    }
+  }
+  return result;
+}
+
+Result<LaunchedServers> LaunchServers(const serverd::ShardServerOptions& options,
+                                      const std::string& serverd_binary,
+                                      const std::string& token) {
+  auto shared = std::make_shared<LaunchedServers::Shared>();
+  ClusterListener::Options lo;
+  lo.token = token;
+  WEAVER_ASSIGN_OR_RETURN(shared->listener, ClusterListener::Open(lo));
+  shared->assign = serverd::AssignmentFromOptions(options);
+  shared->binary = serverd_binary;
+  shared->token = token;
+
+  std::vector<std::pair<NodeRole, std::uint32_t>> roles;
+  for (std::uint32_t s = 0; s < options.num_shards; ++s) {
+    roles.emplace_back(NodeRole::kShard, s);
+  }
+  if (options.remote_gatekeepers) {
+    for (std::uint32_t g = 0; g < options.num_gatekeepers; ++g) {
+      roles.emplace_back(NodeRole::kGatekeeper, g);
+    }
+  }
+  if (options.remote_oracle) roles.emplace_back(NodeRole::kOracle, 0);
+
+  LaunchedServers out;
+  out.shard_fds.assign(options.num_shards, -1);
+  out.shard_pids.assign(options.num_shards, -1);
+  if (options.remote_gatekeepers) {
+    out.gatekeeper_fds.assign(options.num_gatekeepers, -1);
+    out.gatekeeper_pids.assign(options.num_gatekeepers, -1);
+  }
+  const auto launch = [&]() -> Status {
+    for (const auto& [role, id] : roles) {
+      WEAVER_RETURN_IF_ERROR(
+          shared->listener->OpenSlot(role, id, shared->assign));
+    }
+    for (const auto& [role, id] : roles) {
+      WEAVER_RETURN_IF_ERROR(shared->Spawn(role, id).status());
+    }
+    // Joins arrive in whatever order the children dial in.
+    for (std::size_t i = 0; i < roles.size(); ++i) {
+      WEAVER_ASSIGN_OR_RETURN(const JoinedProcess joined,
+                              shared->listener->AcceptJoin());
+      const pid_t pid = static_cast<pid_t>(joined.pid);
+      switch (joined.role) {
+        case NodeRole::kShard:
+          out.shard_fds[joined.shard_id] = joined.fd;
+          out.shard_pids[joined.shard_id] = pid;
+          break;
+        case NodeRole::kGatekeeper:
+          out.gatekeeper_fds[joined.shard_id] = joined.fd;
+          out.gatekeeper_pids[joined.shard_id] = pid;
+          break;
+        case NodeRole::kOracle:
+          out.oracle_fd = joined.fd;
+          out.oracle_pid = pid;
+          break;
+        case NodeRole::kSpare:
+          return Status::Internal("a spare joined; no spare slot was open");
+      }
+    }
+    return Status::Ok();
+  };
+  const Status launched = launch();
+  if (!launched.ok()) {
+    shared->KillAll();
+    for (const int fd : out.shard_fds) {
+      if (fd >= 0) ::close(fd);
+    }
+    for (const int fd : out.gatekeeper_fds) {
+      if (fd >= 0) ::close(fd);
+    }
+    if (out.oracle_fd >= 0) ::close(out.oracle_fd);
+    return launched;
+  }
+  out.respawn = [shared](NodeRole role, std::uint32_t id, bool rehydrate,
+                         std::uint32_t epoch) {
+    return shared->Respawn(role, id, rehydrate, epoch);
+  };
+  out.shared = std::move(shared);
+  return out;
 }
 
 }  // namespace cluster

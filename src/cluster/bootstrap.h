@@ -20,12 +20,14 @@
 // joiner's socket is returned raw, ready for SocketTransport::Adopt on
 // the bus -- the listener never owns live-cluster traffic.
 //
-// Unlike the fork-based SpawnShardServers path (coord/serverd.h), an
-// exec'd serverd inherits NOTHING: SpawnServerd closes every descriptor
-// above stderr between fork and exec, and the child connects its own
-// socket after exec. That is what lets the supervisor respawn crashed
-// processes on demand instead of consuming a pre-forked spare pool, and
-// what lets an operator start servers from a shell.
+// This is the only way a multi-process deployment starts or respawns a
+// server. An exec'd serverd inherits NOTHING: SpawnServerd closes every
+// descriptor above stderr between fork and exec, and the child connects
+// its own socket after exec. That is what lets the supervisor respawn a
+// crashed process on demand from a threaded parent, and what lets an
+// operator start servers from a shell. LaunchServers wraps the whole
+// sequence (listener, slots, spawn, join, respawn hook) for a parent that
+// runs its own Weaver over the joined sockets.
 #pragma once
 
 #include <cstdint>
@@ -33,15 +35,20 @@
 #include <memory>
 #include <string>
 #include <sys/types.h>
+#include <vector>
 
 #include "cluster/handshake.h"
 #include "common/annotations.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "common/sync.h"
+#include "coord/serverd.h"
 #include "core/messages.h"
 
 namespace weaver {
+
+struct WeaverOptions;
+
 namespace cluster {
 
 /// One admitted process: the connected socket (caller owns the fd) and
@@ -139,6 +146,49 @@ class ClusterListener {
 Result<pid_t> SpawnServerd(const std::string& binary, std::uint16_t port,
                            const std::string& token, NodeRole role,
                            std::uint32_t shard_id);
+
+/// The exec'd servers of one deployment, joined and ready for the parent
+/// Weaver. Index the vectors by shard / gatekeeper id.
+struct LaunchedServers {
+  std::vector<int> shard_fds;
+  std::vector<pid_t> shard_pids;
+  /// Empty unless the options asked for remote_gatekeepers.
+  std::vector<int> gatekeeper_fds;
+  std::vector<pid_t> gatekeeper_pids;
+  /// -1 unless the options asked for remote_oracle.
+  int oracle_fd = -1;
+  pid_t oracle_pid = -1;
+  /// ShardSupervisionOptions::exec_respawn for this deployment: releases
+  /// the dead role's slot, re-opens it at the bumped epoch, execs a fresh
+  /// serverd, and accepts its join.
+  serverd::RespawnFn respawn;
+
+  /// Points `options` at these servers: remote shard and gatekeeper fds,
+  /// the oracle service, the supervision pids, and exec_respawn. Whether
+  /// supervision runs stays the caller's choice.
+  void Configure(WeaverOptions* options) const;
+
+  /// Reaps every process launched so far, respawns included; call after
+  /// the parent Weaver shut down. Processes the supervisor already reaped
+  /// are skipped. Non-OK when any exited abnormally or non-zero.
+  Status Wait() const;
+
+  /// The listener, the assignment image, and the pid ledger, shared with
+  /// `respawn` so the hook outlives this struct.
+  struct Shared;
+  std::shared_ptr<Shared> shared;
+};
+
+/// Starts the servers `options` describes -- every shard, plus the oracle
+/// service with remote_oracle and every gatekeeper with
+/// remote_gatekeepers -- by exec'ing `serverd_binary` against a fresh
+/// loopback listener that admits `token`, and accepts their joins. The
+/// options are the children's whole configuration, so their timers must
+/// mirror the parent's WeaverOptions. On failure every process already
+/// spawned is killed and reaped.
+Result<LaunchedServers> LaunchServers(const serverd::ShardServerOptions& options,
+                                      const std::string& serverd_binary,
+                                      const std::string& token);
 
 }  // namespace cluster
 }  // namespace weaver

@@ -11,33 +11,7 @@ void ClusterManager::Register(std::string name, ServerKind kind,
   m.name = name;
   m.kind = kind;
   m.index = index;
-  m.last_heartbeat_us = NowMicros();
-  m.alive = true;
   members_[std::move(name)] = std::move(m);
-}
-
-void ClusterManager::Heartbeat(const std::string& name) {
-  MutexLock lk(mu_);
-  auto it = members_.find(name);
-  if (it != members_.end()) {
-    it->second.last_heartbeat_us = NowMicros();
-    it->second.alive = true;
-  }
-}
-
-std::vector<std::string> ClusterManager::DetectFailures(
-    std::uint64_t timeout_us) {
-  MutexLock lk(mu_);
-  const std::uint64_t now = NowMicros();
-  std::vector<std::string> failed;
-  for (auto& [name, m] : members_) {
-    if (m.alive && now - m.last_heartbeat_us > timeout_us) {
-      m.alive = false;
-      failed.push_back(name);
-    }
-  }
-  std::sort(failed.begin(), failed.end());
-  return failed;
 }
 
 void ClusterManager::MarkFailed(const std::string& name) {
@@ -49,10 +23,7 @@ void ClusterManager::MarkFailed(const std::string& name) {
 void ClusterManager::MarkRecovered(const std::string& name) {
   MutexLock lk(mu_);
   auto it = members_.find(name);
-  if (it != members_.end()) {
-    it->second.alive = true;
-    it->second.last_heartbeat_us = NowMicros();
-  }
+  if (it != members_.end()) it->second.alive = true;
 }
 
 bool ClusterManager::IsAlive(const std::string& name) const {

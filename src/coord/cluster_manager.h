@@ -1,7 +1,8 @@
-// ClusterManager: membership, failure detection, and epoch reconfiguration
+// ClusterManager: membership and epoch reconfiguration
 // (paper §3.2, §4.3).
 //
-// Servers register on boot and send periodic heartbeats. When a gatekeeper
+// Servers register on boot; the shard supervisor (coord/supervisor.h)
+// detects deaths and marks members failed and recovered. When a gatekeeper
 // is replaced, its vector clock restarts, so the cluster manager bumps the
 // deployment epoch and imposes a barrier: every gatekeeper moves to the
 // new epoch in unison (all clock locks are held across the bump), which
@@ -11,8 +12,8 @@
 // The paper deploys the cluster manager (and the timeline oracle) as
 // Paxos-replicated state machines; in this single-process reproduction it
 // is an always-available component -- the replication substrate is out of
-// scope, but every protocol-visible behavior (membership, heartbeat
-// timeout, epoch barrier) is implemented.
+// scope, but every protocol-visible behavior (membership, epoch barrier)
+// is implemented.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +24,6 @@
 #include <vector>
 
 #include "common/annotations.h"
-#include "common/clock.h"
 #include "common/ids.h"
 #include "common/sync.h"
 #include "common/result.h"
@@ -39,19 +39,11 @@ class ClusterManager {
     std::string name;
     ServerKind kind = ServerKind::kShard;
     std::uint32_t index = 0;
-    std::uint64_t last_heartbeat_us = 0;
     bool alive = true;
   };
 
-  /// Registers a booting server and records its first heartbeat.
+  /// Registers a booting server as alive.
   void Register(std::string name, ServerKind kind, std::uint32_t index);
-
-  /// Heartbeat from a live server.
-  void Heartbeat(const std::string& name);
-
-  /// Marks members whose last heartbeat is older than `timeout_us` as
-  /// failed; returns the names of the newly failed members.
-  std::vector<std::string> DetectFailures(std::uint64_t timeout_us);
 
   /// Explicitly marks a member failed (fault injection) / recovered.
   void MarkFailed(const std::string& name);

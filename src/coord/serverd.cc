@@ -1,12 +1,6 @@
 #include "coord/serverd.h"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cassert>
-#include <cerrno>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -308,7 +302,7 @@ int RunShardServer(int parent_fd, ShardId shard_id,
   // serving, so refinements established before our predecessor crashed
   // are visible locally again. A failed sync is degraded but safe -- the
   // replica is a cache, and pairs it cannot answer go back to the
-  // service -- so serve anyway rather than burn another spare.
+  // service -- so serve anyway rather than fail the respawn.
   if (rehydrate && options.remote_oracle) {
     const Status synced = client.Sync();
     if (!synced.ok()) {
@@ -451,144 +445,6 @@ int RunOracleServer(int parent_fd, const ShardServerOptions& options) {
 
   link.WaitClosed();
   return link.error().ok() || link.error().IsUnavailable() ? 0 : 1;
-}
-
-namespace {
-
-/// Shared fork plumbing: runs `serve` in a freshly forked child wired to
-/// the parent by a socketpair, closing inherited parent-side fds.
-Result<ShardProcess> ForkServer(
-    const std::vector<ShardProcess>& earlier,
-    const std::function<int(int child_fd)>& serve) {
-  auto fds = SocketTransport::CreateSocketPairFds();
-  if (!fds.ok()) return fds.status();
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds->first);
-    ::close(fds->second);
-    return Status::Internal("fork failed");
-  }
-  if (pid == 0) {
-    // Child: drop every parent-side fd (ours and earlier siblings'),
-    // serve, and _exit without running the parent's atexit chain.
-    ::close(fds->first);
-    for (const ShardProcess& c : earlier) ::close(c.parent_fd);
-    ::_exit(serve(fds->second));
-  }
-  ::close(fds->second);  // parent: the child owns its end
-  return ShardProcess{pid, fds->first};
-}
-
-}  // namespace
-
-Result<std::vector<ShardProcess>> SpawnShardServers(
-    const ShardServerOptions& options) {
-  std::vector<ShardProcess> children;
-  for (std::size_t s = 0; s < options.num_shards; ++s) {
-    auto child = ForkServer(children, [&](int child_fd) {
-      return RunShardServer(child_fd, static_cast<ShardId>(s), options);
-    });
-    if (!child.ok()) {
-      for (const ShardProcess& c : children) ::close(c.parent_fd);
-      return child.status();
-    }
-    children.push_back(*child);
-  }
-  return children;
-}
-
-Result<ShardProcess> SpawnOracleServer(const ShardServerOptions& options) {
-  return ForkServer({}, [&](int child_fd) {
-    return RunOracleServer(child_fd, options);
-  });
-}
-
-Status WaitShardServers(const std::vector<ShardProcess>& children) {
-  Status result = Status::Ok();
-  for (const ShardProcess& child : children) {
-    int status = 0;
-    if (::waitpid(child.pid, &status, 0) < 0) {
-      // ECHILD: the supervisor already reaped this pid when it recovered
-      // the crash -- not an error here.
-      if (errno == ECHILD) continue;
-      result = Status::Internal("waitpid failed");
-      continue;
-    }
-    if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      result = Status::Internal(
-          "shard server pid " + std::to_string(child.pid) +
-          " exited abnormally (status " + std::to_string(status) + ")");
-    }
-  }
-  return result;
-}
-
-int RunSpareServer(int parent_fd, const ShardServerOptions& options) {
-  // Block until the parent assigns a role (4 bytes, host order -- parent
-  // and spare are always the same machine and binary) or closes the fd
-  // (never needed: clean exit). No transport exists yet; a plain read
-  // keeps the spare's footprint at one idle process.
-  std::uint32_t assignment = 0;
-  std::size_t got = 0;
-  while (got < sizeof(assignment)) {
-    const ssize_t n =
-        ::read(parent_fd, reinterpret_cast<char*>(&assignment) + got,
-               sizeof(assignment) - got);
-    if (n == 0) {
-      ::close(parent_fd);
-      return 0;  // EOF: the deployment shut down without needing us
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(parent_fd);
-      return 1;
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  if (assignment == kSpareBecomeOracle) {
-    return RunOracleServer(parent_fd, options);
-  }
-  const bool rehydrate = (assignment & kSpareRehydrateBit) != 0;
-  const std::uint32_t shard_id = assignment & ~kSpareRehydrateBit;
-  if (shard_id >= options.num_shards) {
-    std::fprintf(stderr, "weaver-serverd: spare assigned bogus shard %u\n",
-                 shard_id);
-    ::close(parent_fd);
-    return 1;
-  }
-  return RunShardServer(parent_fd, static_cast<ShardId>(shard_id), options,
-                        rehydrate);
-}
-
-Result<std::vector<ShardProcess>> SpawnSpareServers(
-    const ShardServerOptions& options, std::size_t count) {
-  std::vector<ShardProcess> spares;
-  for (std::size_t i = 0; i < count; ++i) {
-    auto spare = ForkServer(spares, [&](int child_fd) {
-      return RunSpareServer(child_fd, options);
-    });
-    if (!spare.ok()) {
-      for (const ShardProcess& c : spares) ::close(c.parent_fd);
-      return spare.status();
-    }
-    spares.push_back(*spare);
-  }
-  return spares;
-}
-
-Status AssignSpare(int fd, std::uint32_t assignment) {
-  std::size_t put = 0;
-  while (put < sizeof(assignment)) {
-    const ssize_t n =
-        ::write(fd, reinterpret_cast<const char*>(&assignment) + put,
-                sizeof(assignment) - put);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Unavailable("spare process is gone (write failed)");
-    }
-    put += static_cast<std::size_t>(n);
-  }
-  return Status::Ok();
 }
 
 }  // namespace serverd

@@ -1,19 +1,23 @@
-// weaver-serverd: the multi-process deployment harness
+// weaver-serverd: the server side of a multi-process deployment
 // (docs/transport.md#multi-process).
 //
 // The paper's deployment runs shard servers as separate processes; this
-// harness provides that shape. The PARENT process runs the gatekeeper
-// bank, the backing store, the program coordinator, and the clients (a
-// Weaver opened with WeaverOptions::remote_shard_fds); each CHILD
-// process runs one standalone shard server (RunShardServer) connected to
-// the parent by a stream socket. All inter-process traffic is wire
-// frames (net/wire.h) carrying the schemas of core/messages.h; the
-// parent doubles as a hub that forwards shard-to-shard hop batches
-// between children without decoding them.
+// module is what such a process runs. The PARENT process runs the backing
+// store, the program coordinator, and the clients (a Weaver opened with
+// WeaverOptions::remote_shard_fds), and by default the gatekeeper bank;
+// each CHILD process is an exec'd weaver-serverd binary
+// (tools/weaver_serverd.cc) that joined the parent's cluster listener
+// (cluster/bootstrap.h) and runs one standalone shard server
+// (RunShardServer), the timeline-oracle service (RunOracleServer), or one
+// out-of-parent gatekeeper (RunGatekeeperServer) over that socket. All
+// inter-process traffic is wire frames (net/wire.h) carrying the schemas
+// of core/messages.h; the parent doubles as a hub that forwards
+// shard-to-shard hop batches between children without decoding them.
 //
-// The two sides never exchange configuration at runtime: they agree on
-// the ENDPOINT LAYOUT below, computed from (num_shards, num_gatekeepers)
-// alone. It mirrors Weaver's construction order exactly --
+// The two sides never exchange configuration beyond the join handshake's
+// RoleAssign: they agree on the ENDPOINT LAYOUT below, computed from
+// (num_shards, num_gatekeepers) alone. It mirrors Weaver's construction
+// order exactly --
 //
 //     ids 0..S-1                 shard servers
 //     ids S+2g, S+2g+1           gatekeeper g (server, client ingress)
@@ -46,15 +50,10 @@
 // replica + RPC path with it), the standard program registry, and a
 // hash-fallback NodeLocator -- which is why remote deployments require
 // hash placement.
-//
-// Fork protocol (the only supported spawn mode today; an exec-based
-// weaver-serverd binary would pass the same config on its command line):
-// create the socketpairs and FORK THE CHILDREN FIRST, before the parent
-// constructs its Weaver -- threads do not survive fork. Each child calls
-// RunShardServer, which blocks until the parent shuts down, and _exits.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <sys/types.h>
 #include <vector>
@@ -159,11 +158,11 @@ ShardServerOptions OptionsFromAssignment(const RoleAssignMessage& assign);
 /// Child-process entry point: builds a standalone shard server for
 /// `shard_id` wired to the parent over `parent_fd` (takes ownership of
 /// the fd), serves until the parent shuts down (Stop message or socket
-/// EOF), and returns the exit code. Call from a freshly forked child and
-/// _exit() with the result. With options.remote_oracle, `rehydrate`
-/// makes the shard pull the oracle service's full edge dump (Sync)
-/// before serving -- the respawn path, where refinements made before a
-/// predecessor crashed must be visible again.
+/// EOF), and returns the exit code. weaver-serverd calls it once the
+/// join handshake assigned the shard role. With options.remote_oracle,
+/// `rehydrate` makes the shard pull the oracle service's full edge dump
+/// (Sync) before serving -- the respawn path, where refinements made
+/// before a predecessor crashed must be visible again.
 int RunShardServer(int parent_fd, ShardId shard_id,
                    const ShardServerOptions& options, bool rehydrate = false);
 
@@ -184,68 +183,18 @@ int RunGatekeeperServer(int parent_fd, GatekeeperId gk_id,
                         const ShardServerOptions& options,
                         std::uint32_t epoch);
 
-/// One spawned shard-server child.
+/// A spawned server process and the parent's connected socket to it.
 struct ShardProcess {
   pid_t pid = -1;
-  int parent_fd = -1;  // the parent's end of the pair
+  int parent_fd = -1;
 };
 
-/// Forks one shard-server child per shard. Call BEFORE constructing the
-/// parent Weaver (threads do not survive fork). On success, feed the
-/// parent_fds into WeaverOptions::remote_shard_fds.
-Result<std::vector<ShardProcess>> SpawnShardServers(
-    const ShardServerOptions& options);
-
-/// Forks the weaver-oracled child. Same fork-first rule. Feed the
-/// parent_fd/pid into WeaverOptions::oracle_service.
-Result<ShardProcess> SpawnOracleServer(const ShardServerOptions& options);
-
-/// Waits for every child to exit (after the parent Weaver shut down).
-/// Returns non-OK if any child exited abnormally or with a non-zero
-/// code. Children the supervisor already reaped (recovered crashes) are
-/// skipped silently: ECHILD means "handled", not "lost".
-Status WaitShardServers(const std::vector<ShardProcess>& children);
-
-// --- Warm spare pool (docs/fault_tolerance.md#respawn) ----------------------
-//
-// fork() from the threaded parent is unsafe, so a dead shard cannot be
-// respawned on demand: the spares are forked UP FRONT, alongside the
-// original shard servers, while the process is still single-threaded.
-// Each spare blocks reading a 4-byte assignment word from its socket;
-// assigning one (AssignSpare) turns it into that server over the same
-// fd. An unused spare sees EOF when the parent closes its fd and exits
-// 0. The assignment word is a shard id, optionally tagged:
-//
-//   kSpareBecomeOracle             become weaver-oracled (replays the
-//                                  durable changelog from
-//                                  options.oracle_data_dir)
-//   kSpareRehydrateBit | shard_id  become that shard AND rehydrate its
-//                                  oracle replica from the service
-//                                  (Sync) before serving
-
-/// Assignment word: the spare becomes the oracle service.
-constexpr std::uint32_t kSpareBecomeOracle = 0xFFFFFFFFu;
-/// Assignment-word tag: the spare becomes shard (word & ~bit) in
-/// rehydrate mode.
-constexpr std::uint32_t kSpareRehydrateBit = 0x80000000u;
-
-/// Spare-process entry point: blocks until the parent assigns a role
-/// over `parent_fd`, then serves exactly like RunShardServer /
-/// RunOracleServer. EOF before an assignment is a clean "never needed"
-/// exit.
-int RunSpareServer(int parent_fd, const ShardServerOptions& options);
-
-/// Forks `count` unassigned spare processes. Same fork-first rule as
-/// SpawnShardServers; call it immediately after, before the parent
-/// Weaver exists. Pass the parent_fds into
-/// WeaverOptions::supervision.spare_fds (and the pids into spare_pids).
-Result<std::vector<ShardProcess>> SpawnSpareServers(
-    const ShardServerOptions& options, std::size_t count);
-
-/// Tells the spare behind `fd` to take the role in `assignment` (a plain
-/// shard id or one of the tagged words above). After this the fd carries
-/// wire frames; adopt it into a transport.
-Status AssignSpare(int fd, std::uint32_t assignment);
+/// Produces a replacement server process for `role`/`id` (shard id, or
+/// gatekeeper id for kGatekeeper) at cluster epoch `epoch`; `rehydrate`
+/// asks a shard to resync its oracle replica. cluster::LaunchServers
+/// builds one; the supervisor calls it (ShardSupervisionOptions).
+using RespawnFn = std::function<Result<ShardProcess>(
+    NodeRole role, std::uint32_t id, bool rehydrate, std::uint32_t epoch)>;
 
 }  // namespace serverd
 }  // namespace weaver

@@ -29,8 +29,6 @@ ShardSupervisor::ShardSupervisor(Weaver* weaver) : weaver_(weaver) {
     if (s < opts.shard_pids.size()) st->pid = opts.shard_pids[s];
     shards_.push_back(std::move(st));
   }
-  spare_pids_ = opts.spare_pids;
-  spare_fds_ = opts.spare_fds;
   oracle_enabled_ = weaver_->remote_oracle_;
   if (oracle_enabled_) oracle_.pid = weaver_->options_.oracle_service.pid;
   gk_enabled_ = weaver_->remote_gatekeepers_;
@@ -77,12 +75,6 @@ void ShardSupervisor::Stop() {
     cv_.notify_all();
   }
   if (thread_.joinable()) thread_.join();
-  // Unused spares read the close as EOF and exit 0; the harness that
-  // forked them waits for them like any other child.
-  for (int& fd : spare_fds_) {
-    if (fd >= 0) ::close(fd);
-    fd = -1;
-  }
 }
 
 void ShardSupervisor::OnLinkDown(ShardId shard) {
@@ -141,7 +133,6 @@ bool ShardSupervisor::HeartbeatDead(ShardState* st, const WireLink* link,
     st->last_frames = frames;
     st->last_activity_us = now;
     st->pinged = false;
-    weaver_->cluster_.Heartbeat(name);
     return false;
   }
   if (opts.heartbeat_timeout_micros > 0 &&
@@ -233,47 +224,29 @@ void ShardSupervisor::MonitorLoop() {
   }
 }
 
-bool ShardSupervisor::SpawnReplacement(NodeRole role, std::uint32_t id,
-                                       bool rehydrate,
-                                       std::uint32_t spare_assignment,
-                                       bool allow_spare, int* fd,
-                                       pid_t* pid) {
-  *fd = -1;
-  *pid = -1;
+std::optional<serverd::ShardProcess> ShardSupervisor::SpawnReplacement(
+    NodeRole role, std::uint32_t id, bool rehydrate, ShardState* st,
+    const std::string& name) {
   const ShardSupervisionOptions& opts = weaver_->options_.supervision;
   if (opts.exec_respawn) {
-    // Fresh process, fresh address space, no inherited fds: the
-    // cluster-bootstrap harness execs weaver-serverd and hands back the
-    // joined connection (docs/transport.md#cluster-bootstrap).
-    auto proc =
-        opts.exec_respawn(role, id, rehydrate, weaver_->cluster_.current_epoch());
+    // Fresh process, fresh address space, no inherited fds: the hook
+    // execs weaver-serverd and hands back the joined connection
+    // (docs/transport.md#cluster-bootstrap).
+    auto proc = opts.exec_respawn(role, id, rehydrate,
+                                  weaver_->cluster_.current_epoch());
     if (proc.ok()) {
-      *fd = proc->parent_fd;
-      *pid = proc->pid;
       exec_respawns_->Add();
-      return true;
+      return *proc;
     }
-    std::fprintf(stderr,
-                 "weaver-supervisor: exec respawn failed (%s); %s\n",
-                 proc.status().ToString().c_str(),
-                 allow_spare ? "falling back to the spare pool"
-                             : "no other respawn source");
+    std::fprintf(stderr, "weaver-supervisor: exec respawn failed (%s)\n",
+                 proc.status().ToString().c_str());
   }
-  if (!allow_spare) return false;
-  while (!spare_fds_.empty()) {
-    const int f = spare_fds_.back();
-    spare_fds_.pop_back();
-    const pid_t p = spare_pids_.back();
-    spare_pids_.pop_back();
-    if (serverd::AssignSpare(f, spare_assignment).ok()) {
-      *fd = f;
-      *pid = p;
-      return true;
-    }
-    ::close(f);  // that spare died on the bench; reap it and try the next
-    (void)::waitpid(p, nullptr, WNOHANG);
-  }
-  return false;
+  st->lost = true;
+  recoveries_failed_->Add();
+  std::fprintf(stderr,
+               "weaver-supervisor: no replacement for %s; it stays down\n",
+               name.c_str());
+  return std::nullopt;
 }
 
 std::uint32_t ShardSupervisor::AdvanceEpoch(GatekeeperId skip_gk) {
@@ -353,30 +326,16 @@ void ShardSupervisor::Recover(ShardId s) {
   // lock, and a commit holding the shared gate may be waiting on one.
   (void)AdvanceEpoch(/*skip_gk=*/static_cast<GatekeeperId>(-1));
 
-  // 3. RESPAWN: exec a fresh weaver-serverd when the harness provides
-  // the hook, else assign a warm spare. With weaver-oracled running, the
-  // respawn gets the rehydrate bit: it Sync()s the oracle's edge set
+  // 3. RESPAWN: exec a fresh weaver-serverd. With weaver-oracled
+  // running, the respawn rehydrates: it Sync()s the oracle's edge set
   // into its local replica after its link is up, so refinements the dead
   // shard had already observed stay locally answerable.
-  const std::uint32_t assignment =
-      weaver_->remote_oracle_
-          ? (serverd::kSpareRehydrateBit | static_cast<std::uint32_t>(s))
-          : static_cast<std::uint32_t>(s);
-  int fd = -1;
-  pid_t pid = -1;
-  if (!SpawnReplacement(NodeRole::kShard, static_cast<std::uint32_t>(s),
-                        weaver_->remote_oracle_, assignment,
-                        /*allow_spare=*/true, &fd, &pid)) {
-    st.lost = true;
-    recoveries_failed_->Add();
-    std::fprintf(stderr,
-                 "weaver-supervisor: no respawn source for %s; it stays "
-                 "down\n",
-                 name.c_str());
-    return;
-  }
+  const auto proc = SpawnReplacement(NodeRole::kShard, s,
+                                     weaver_->remote_oracle_, &st, name);
+  if (!proc) return;
 
-  auto transport = std::shared_ptr<Transport>(SocketTransport::Adopt(fd));
+  auto transport =
+      std::shared_ptr<Transport>(SocketTransport::Adopt(proc->parent_fd));
   if (weaver_->options_.shard_transport_decorator) {
     transport =
         weaver_->options_.shard_transport_decorator(std::move(transport), s);
@@ -444,7 +403,7 @@ void ShardSupervisor::Recover(ShardId s) {
   }
 
   // 6. REJOIN.
-  st.pid = pid;
+  st.pid = proc->pid;
   st.last_frames = 0;
   st.last_activity_us = NowMicros();
   st.pinged = false;
@@ -458,7 +417,7 @@ void ShardSupervisor::Recover(ShardId s) {
   std::fprintf(stderr,
                "weaver-supervisor: %s respawned as pid %d (%llu vertices "
                "replayed, %.1f ms)\n",
-               name.c_str(), static_cast<int>(pid),
+               name.c_str(), static_cast<int>(proc->pid),
                static_cast<unsigned long long>(replayed),
                static_cast<double>(elapsed_ns) / 1e6);
 }
@@ -539,19 +498,12 @@ void ShardSupervisor::RecoverOracle() {
   // before it serves (serverd::RunOracleServer refuses to come up on a
   // recovery failure), so every edge acknowledged pre-crash is
   // re-established.
-  int fd = -1;
-  pid_t pid = -1;
-  if (!SpawnReplacement(NodeRole::kOracle, 0, /*rehydrate=*/false,
-                        serverd::kSpareBecomeOracle, /*allow_spare=*/true,
-                        &fd, &pid)) {
-    st.lost = true;
-    recoveries_failed_->Add();
-    std::fprintf(
-        stderr,
-        "weaver-supervisor: no respawn source for oracled; it stays down\n");
-    return;
-  }
-  auto transport = std::shared_ptr<Transport>(SocketTransport::Adopt(fd));
+  const auto proc =
+      SpawnReplacement(NodeRole::kOracle, 0, /*rehydrate=*/false, &st,
+                       "oracled");
+  if (!proc) return;
+  auto transport =
+      std::shared_ptr<Transport>(SocketTransport::Adopt(proc->parent_fd));
 
   // RESET: every live shard forgets its wire-sequence state for the
   // oracle endpoint (requests restart at seq zero toward the respawn,
@@ -577,7 +529,7 @@ void ShardSupervisor::RecoverOracle() {
   weaver_->oracle_link_ = std::make_unique<WireLink>(std::move(lo));
 
   // REJOIN.
-  st.pid = pid;
+  st.pid = proc->pid;
   st.last_frames = 0;
   st.last_activity_us = NowMicros();
   st.pinged = false;
@@ -588,7 +540,7 @@ void ShardSupervisor::RecoverOracle() {
   recovery_latency_->Record(elapsed_ns);
   std::fprintf(stderr,
                "weaver-supervisor: oracled respawned as pid %d (%.1f ms)\n",
-               static_cast<int>(pid),
+               static_cast<int>(proc->pid),
                static_cast<double>(elapsed_ns) / 1e6);
 }
 
@@ -648,22 +600,13 @@ void ShardSupervisor::RecoverGatekeeper(GatekeeperId g) {
   // process issued.
   (void)AdvanceEpoch(/*skip_gk=*/g);
 
-  // RESPAWN. Gatekeepers exist only in cluster-bootstrap deployments:
-  // exec_respawn is the only source (spares can only become shards or
-  // the oracle).
-  int fd = -1;
-  pid_t pid = -1;
-  if (!SpawnReplacement(NodeRole::kGatekeeper, g, /*rehydrate=*/false,
-                        /*spare_assignment=*/0, /*allow_spare=*/false, &fd,
-                        &pid)) {
-    st.lost = true;
-    recoveries_failed_->Add();
-    std::fprintf(stderr,
-                 "weaver-supervisor: no exec respawn for %s; it stays down\n",
-                 name.c_str());
-    return;
-  }
-  auto transport = std::shared_ptr<Transport>(SocketTransport::Adopt(fd));
+  // RESPAWN.
+  const auto proc =
+      SpawnReplacement(NodeRole::kGatekeeper, g, /*rehydrate=*/false, &st,
+                       name);
+  if (!proc) return;
+  auto transport =
+      std::shared_ptr<Transport>(SocketTransport::Adopt(proc->parent_fd));
 
   // RESET: every survivor that addresses the dead process forgets its
   // wire-sequence state -- shards send announce acks and accounting to
@@ -701,7 +644,7 @@ void ShardSupervisor::RecoverGatekeeper(GatekeeperId g) {
   lo.on_down = [this, g](const Status&) { OnGatekeeperLinkDown(g); };
   weaver_->gatekeeper_links_[g] = std::make_unique<WireLink>(std::move(lo));
 
-  st.pid = pid;
+  st.pid = proc->pid;
   st.last_frames = 0;
   st.last_activity_us = NowMicros();
   st.pinged = false;
@@ -712,7 +655,7 @@ void ShardSupervisor::RecoverGatekeeper(GatekeeperId g) {
   recovery_latency_->Record(elapsed_ns);
   std::fprintf(stderr,
                "weaver-supervisor: %s respawned as pid %d (%.1f ms)\n",
-               name.c_str(), static_cast<int>(pid),
+               name.c_str(), static_cast<int>(proc->pid),
                static_cast<double>(elapsed_ns) / 1e6);
 }
 

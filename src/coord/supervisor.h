@@ -22,17 +22,18 @@
 //                 a fresh epoch, so cross-failure timestamps stay
 //                 monotonic (paper §4.3). Runs BEFORE the commit gate is
 //                 taken exclusively -- the barrier holds every clock lock.
-//   3. RESPAWN -- assign a warm spare (serverd::AssignSpare; spares were
-//                 forked before the parent had threads, because fork from
-//                 a threaded process is unsafe). No spare left: the shard
-//                 stays down and supervisor.recoveries_failed counts it.
+//   3. RESPAWN -- ShardSupervisionOptions::exec_respawn execs a fresh
+//                 weaver-serverd that joins over TCP with no inherited
+//                 state (cluster::LaunchServers builds the hook). No hook,
+//                 or a failed one: the shard stays down and
+//                 supervisor.recoveries_failed counts it.
 //   4. RESET   -- kMsgShardReset to every surviving shard child: each
 //                 resets its wire-sequence state for the dead endpoint on
 //                 its own event loop (serialized with its hop forwarding)
 //                 and acks. Waited with a timeout; stragglers are counted,
 //                 not fatal.
 //   5. REPLAY  -- under the EXCLUSIVE commit gate: reset the parent's own
-//                 sequence state, install the spare's transport + a fresh
+//                 sequence state, install the respawn's transport + a fresh
 //                 WireLink, and stream the partition (every kv-committed
 //                 vertex owned by s) back as kMsgPartitionReplay batches.
 //                 Commits publish to the kv store BEFORE their shard
@@ -46,17 +47,11 @@
 // signals, but its recovery is simpler: no epoch bump (the oracle holds
 // no clocks), no commit gate, and no partition replay -- the service
 // replays its own durable changelog on boot. Recovery for the oracle is
-// FENCE -> RESPAWN (spare assigned kSpareBecomeOracle) -> RESET (every
-// live shard and the parent forget their wire-sequence state for the
-// oracle endpoint) -> REJOIN. Shard-side callers ride it out: waves
+// FENCE -> RESPAWN (exec'd in the oracle role) -> RESET (every live
+// shard and the parent forget their wire-sequence state for the oracle
+// endpoint) -> REJOIN. Shard-side callers ride it out: waves
 // park and programs abort with retriable Unavailable until the respawn
 // answers again.
-//
-// Respawn source: when ShardSupervisionOptions::exec_respawn is set (the
-// cluster-bootstrap harness, docs/transport.md#cluster-bootstrap), a
-// replacement is fork+exec'd on demand -- a fresh weaver-serverd joins
-// over TCP with no inherited state -- and the warm spare pool is only
-// the fallback. Without the hook, the spare pool is the only source.
 //
 // Out-of-parent gatekeeper processes (same doc) are supervised with the
 // same three detection signals. Their recovery is: FENCE (detach the
@@ -64,13 +59,13 @@
 // internal pending replies, kill+reap), EPOCH (barrier bump broadcast to
 // the surviving gatekeeper processes as GkEpochAdvance -- the respawn
 // seeds its clock at the new epoch, so cross-failure timestamps stay
-// monotonic while its counters restart at zero), RESPAWN (exec_respawn
-// only: spares cannot become gatekeepers), RESET (surviving shards and
-// gatekeepers forget their wire-sequence state for the dead process's
-// endpoints), REJOIN (parent resets + re-points the three endpoints at
-// the new transport, fresh link, watermark cache invalidated). No
-// partition replay: gatekeepers hold no graph state, and every commit
-// they acked was applied to the backing store parent-side first.
+// monotonic while its counters restart at zero), RESPAWN, RESET
+// (surviving shards and gatekeepers forget their wire-sequence state for
+// the dead process's endpoints), REJOIN (parent resets + re-points the
+// three endpoints at the new transport, fresh link, watermark cache
+// invalidated). No partition replay: gatekeepers hold no graph state, and
+// every commit they acked was applied to the backing store parent-side
+// first.
 //
 // Everything is observable through the deployment registry under the
 // "supervisor." prefix (docs/observability.md): recoveries,
@@ -86,6 +81,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -95,6 +91,7 @@
 #include "common/ids.h"
 #include "common/status.h"
 #include "common/sync.h"
+#include "coord/serverd.h"
 #include "core/messages.h"
 #include "obs/metrics.h"
 
@@ -113,9 +110,7 @@ class ShardSupervisor {
   ShardSupervisor(const ShardSupervisor&) = delete;
   ShardSupervisor& operator=(const ShardSupervisor&) = delete;
 
-  /// Starts / stops the monitor thread (both idempotent). Stop also
-  /// closes the unused spare fds, which the spares read as EOF and exit
-  /// cleanly.
+  /// Starts / stops the monitor thread (both idempotent).
   void Start();
   void Stop();
 
@@ -136,7 +131,7 @@ class ShardSupervisor {
     pid_t pid = -1;
     /// Set by OnLinkDown (link receive thread); consumed by the monitor.
     std::atomic<bool> link_down{false};
-    /// Down for good: died with the spare pool empty.
+    /// Down for good: no replacement could be spawned.
     bool lost = false;
     // Heartbeat bookkeeping (monitor thread only).
     std::uint64_t last_frames = 0;
@@ -162,16 +157,14 @@ class ShardSupervisor {
   void Recover(ShardId shard);
   /// Oracle recovery: FENCE -> RESPAWN -> RESET -> REJOIN.
   void RecoverOracle();
-  /// Gatekeeper-process recovery (header comment above). exec_respawn
-  /// only: the spare pool cannot produce gatekeepers.
+  /// Gatekeeper-process recovery (header comment above).
   void RecoverGatekeeper(GatekeeperId gk);
-  /// Produces a replacement child: exec_respawn when configured (falling
-  /// back on its failure), else the warm spare pool with
-  /// `spare_assignment` (pass allow_spare = false for roles spares cannot
-  /// take). Returns false when no source produced one.
-  bool SpawnReplacement(NodeRole role, std::uint32_t id, bool rehydrate,
-                        std::uint32_t spare_assignment, bool allow_spare,
-                        int* fd, pid_t* pid);
+  /// Produces a replacement process through exec_respawn. When there is
+  /// no hook or it fails, marks `st` lost, counts the failed recovery, and
+  /// returns nullopt: the process named `name` stays down.
+  std::optional<serverd::ShardProcess> SpawnReplacement(
+      NodeRole role, std::uint32_t id, bool rehydrate, ShardState* st,
+      const std::string& name);
   /// The EPOCH step, remote-gatekeeper aware: in-process it runs the
   /// barrier across the gatekeeper bank; with out-of-parent gatekeepers
   /// it bumps the cluster epoch and broadcasts GkEpochAdvance to every
@@ -189,17 +182,13 @@ class ShardSupervisor {
   Weaver* weaver_;
   std::vector<std::unique_ptr<ShardState>> shards_;
   /// weaver-oracled, when the deployment runs one (same lifecycle state
-  /// as a shard child; `lost` means it died with the spare pool empty).
+  /// as a shard child).
   ShardState oracle_;
   bool oracle_enabled_ = false;
   /// Out-of-parent gatekeeper processes, when the deployment runs them
-  /// (same lifecycle state; `lost` means exec respawn was unavailable or
-  /// failed).
+  /// (same lifecycle state).
   std::vector<std::unique_ptr<ShardState>> gk_states_;
   bool gk_enabled_ = false;
-  /// Spare pool, consumed back-to-front.
-  std::vector<pid_t> spare_pids_;
-  std::vector<int> spare_fds_;
 
   Mutex mu_;
   std::condition_variable cv_;

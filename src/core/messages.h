@@ -249,7 +249,7 @@ struct MetricsReportMessage {
 
 /// `shard` value in reports (and reset acks) from weaver-oracled: the
 /// oracle service is not a shard, so consumers indexing by shard id must
-/// skip it. Also never a valid spare assignment (coord/serverd.h).
+/// skip it.
 constexpr ShardId kOracleMetricsSource = 0xFFFFFFFFu;
 
 // --- Shard-process recovery (docs/fault_tolerance.md) -----------------------

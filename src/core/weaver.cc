@@ -713,8 +713,8 @@ void Weaver::Start() {
 
 void Weaver::Shutdown() {
   // The supervisor goes first: once shutdown starts tearing links down,
-  // every peer EOF would read as a crash and the monitor would burn the
-  // spare pool respawning shards we are about to stop.
+  // every peer EOF would read as a crash and the monitor would respawn
+  // shards we are about to stop.
   if (supervisor_) supervisor_->Stop();
   // Stop the client ingress next, while started_ is still true and the
   // shards still drain: requests already on a worker finish normally
@@ -747,8 +747,8 @@ void Weaver::Shutdown() {
       (void)bus_->Send(coordinator_endpoint_, shard_endpoints_[s], kMsgStop,
                        nullptr);
     }
-    // A link slot may be null: a failed recovery (spare pool empty)
-    // leaves the dead shard's slot empty.
+    // A link slot may be null: a failed recovery (no respawn) leaves the
+    // dead shard's slot empty.
     for (auto& link : links_) {
       if (link) link->Stop();
     }

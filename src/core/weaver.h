@@ -69,18 +69,15 @@ namespace weaver {
 class ShardSupervisor;
 
 /// Shard-process supervision (docs/fault_tolerance.md): the parent watches
-/// its shard-server children, detects death (waitpid + link EOF + missed
-/// heartbeats), and recovers -- epoch bump, warm-spare respawn, partition
-/// replay from the backing store. Only meaningful with remote_shard_fds.
+/// its server processes, detects death (waitpid + link EOF + missed
+/// heartbeats), and recovers -- epoch bump, exec respawn, partition
+/// replay from the backing store. Only meaningful with remote_shard_fds;
+/// cluster::LaunchedServers::Configure fills the pids and the hook.
 struct ShardSupervisionOptions {
   bool enabled = false;
-  /// pid of each original shard-server child, indexed by ShardId (from
-  /// serverd::SpawnShardServers). Required when enabled.
+  /// pid of each original shard-server process, indexed by ShardId.
+  /// Required when enabled.
   std::vector<pid_t> shard_pids;
-  /// Warm spare pool (serverd::SpawnSpareServers): consumed back-to-front,
-  /// one per recovery. A shard that dies with the pool empty stays down.
-  std::vector<pid_t> spare_pids;
-  std::vector<int> spare_fds;
   /// Monitor thread cadence.
   std::uint64_t poll_period_micros = 20'000;
   /// A child silent (no frames received) this long is pinged; silent for
@@ -94,15 +91,11 @@ struct ShardSupervisionOptions {
   /// GatekeeperId (remote_gatekeeper_fds deployments). When set, the
   /// monitor watches and recovers them like shard children.
   std::vector<pid_t> gatekeeper_pids;
-  /// Exec-based respawn (docs/transport.md#cluster-bootstrap): spawn a
-  /// fresh weaver-serverd for `role`/`id` (shard id, or gatekeeper id
-  /// for kGatekeeper) at cluster epoch `epoch` and return its connected
-  /// process. `rehydrate` asks a shard to resync its oracle replica.
-  /// Preferred over the warm-spare pool when set -- and the ONLY respawn
-  /// path for gatekeeper processes, which spares cannot become.
-  std::function<Result<serverd::ShardProcess>(
-      NodeRole role, std::uint32_t id, bool rehydrate, std::uint32_t epoch)>
-      exec_respawn;
+  /// The respawn source (docs/transport.md#cluster-bootstrap): exec a
+  /// fresh weaver-serverd for the dead role and return its connected
+  /// process. Without it a dead process stays down, counted in
+  /// supervisor.recoveries_failed.
+  serverd::RespawnFn exec_respawn;
 };
 
 /// Standalone timeline-oracle service (docs/oracle_service.md): the
@@ -111,8 +104,9 @@ struct ShardSupervisionOptions {
 /// an OracleClient replica. Remote-shard deployments only.
 struct OracleServiceOptions {
   bool enabled = false;
-  /// The weaver-oracled child (serverd::SpawnOracleServer): its pid (for
-  /// supervision) and the parent's end of its socketpair.
+  /// The weaver-oracled process (cluster::LaunchServers with
+  /// remote_oracle): its pid (for supervision) and the parent's
+  /// connected socket to it.
   pid_t pid = -1;
   int fd = -1;
   /// Parent-side OracleClient deadlines (GC collect RPCs).
@@ -241,7 +235,7 @@ struct WeaverOptions {
   OracleServiceOptions oracle_service;
   /// Fault-injection seam (net/fault_injector.h): wraps each remote
   /// shard's outbound transport at adoption time -- both the original
-  /// remote_shard_fds and any respawned spare. Identity when unset.
+  /// remote_shard_fds and any respawned process. Identity when unset.
   std::function<std::shared_ptr<Transport>(std::shared_ptr<Transport>,
                                            ShardId)>
       shard_transport_decorator;

@@ -450,6 +450,4 @@ void GraphStore::InstallNode(Node node) {
   nodes_[id] = std::move(ptr);
 }
 
-void GraphStore::EvictNode(NodeId id) { nodes_.erase(id); }
-
 }  // namespace weaver

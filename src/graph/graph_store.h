@@ -188,8 +188,6 @@ class GraphStore {
 
   /// Installs a recovered vertex, replacing any existing one.
   void InstallNode(Node node);
-  /// Removes a vertex outright (repartitioning / migration).
-  void EvictNode(NodeId id);
 
   const Stats& stats() const { return stats_; }
 

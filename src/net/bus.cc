@@ -297,7 +297,15 @@ Status MessageBus::Send(EndpointId src, EndpointId dst,
     MutexLock lk(endpoints_mu_);
     if (dst < endpoints_.size()) {
       Endpoint& ep = *endpoints_[dst];
-      remote = ep.attached ? ep.remote : nullptr;
+      if (ep.remote != nullptr && !ep.attached) {
+        // A fenced remote peer: refuse before a sequence number is
+        // assigned. A send burned here would sit between ResetPeer and
+        // ReplaceRemote, and the replacement process would see its first
+        // frame arrive as seq 2.
+        return Status::Unavailable("remote endpoint " + std::to_string(dst) +
+                                   " is detached");
+      }
+      remote = ep.remote;
       if (ep.handler && ep.handler_capacity > 0) {
         handler_capacity = ep.handler_capacity;
         deferred = ep.deferred;

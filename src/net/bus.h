@@ -163,7 +163,9 @@ class MessageBus {
 
   /// Detaches an endpoint: subsequent sends to it are dropped (simulates a
   /// crashed server). Channel sequence state is preserved so a re-register
-  /// with ReattachInbox continues the FIFO stream.
+  /// with ReattachInbox continues the FIFO stream. A send to a detached
+  /// REMOTE endpoint fails with Unavailable before it takes a sequence
+  /// number, so the replacement ReplaceRemote installs starts at seq 1.
   void Detach(EndpointId id);
   void ReattachInbox(EndpointId id,
                      std::shared_ptr<BlockingQueue<BusMessage>> inbox);

@@ -28,20 +28,14 @@ std::unique_ptr<SocketTransport> SocketTransport::Adopt(int fd) {
   return std::unique_ptr<SocketTransport>(new SocketTransport(fd));
 }
 
-Result<std::pair<int, int>> SocketTransport::CreateSocketPairFds() {
+Result<std::pair<std::unique_ptr<SocketTransport>,
+                 std::unique_ptr<SocketTransport>>>
+SocketTransport::CreatePair() {
   int fds[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
     return Errno("socketpair");
   }
-  return std::make_pair(fds[0], fds[1]);
-}
-
-Result<std::pair<std::unique_ptr<SocketTransport>,
-                 std::unique_ptr<SocketTransport>>>
-SocketTransport::CreatePair() {
-  auto fds = CreateSocketPairFds();
-  if (!fds.ok()) return fds.status();
-  return std::make_pair(Adopt(fds->first), Adopt(fds->second));
+  return std::make_pair(Adopt(fds[0]), Adopt(fds[1]));
 }
 
 Result<int> SocketTransport::ListenLoopback(std::uint16_t port) {

@@ -10,8 +10,8 @@
 // the sender's per-channel sequence numbers intact.
 //
 // SocketTransport is the real implementation: a connected stream socket
-// -- a socketpair() inherited across fork() (the multi-process shard
-// harness, src/coord/serverd.h), or a loopback TCP connection. The
+// -- a loopback TCP connection between processes (the cluster bootstrap,
+// src/cluster/bootstrap.h), or a socketpair() inside one process. The
 // in-process delivery path never touches a Transport at all: local
 // endpoints keep the zero-copy shared_ptr fast path and skip encoding.
 #pragma once
@@ -82,16 +82,10 @@ class SocketTransport final : public Transport {
   static std::unique_ptr<SocketTransport> Adopt(int fd);
 
   /// A connected AF_UNIX socketpair: two linked transports in one
-  /// process (tests), or the parent/child ends of a fork (the
-  /// multi-process harness creates the pair, forks, and each side adopts
-  /// its fd).
+  /// process (tests).
   static Result<std::pair<std::unique_ptr<SocketTransport>,
                           std::unique_ptr<SocketTransport>>>
   CreatePair();
-
-  /// Raw fds of a connected socketpair, for callers that fork before
-  /// constructing any transport (threads do not survive fork).
-  static Result<std::pair<int, int>> CreateSocketPairFds();
 
   /// Loopback TCP: a listener on 127.0.0.1 (port 0 picks a free port;
   /// query with ListenPort), its blocking accept, and the client side.

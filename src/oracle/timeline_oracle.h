@@ -15,11 +15,12 @@
 //     <0,1> < <2,0> is answered (paper §4.1).
 //
 // The paper's deployment chain-replicates the oracle for fault tolerance
-// and read scaling (~6M queries/sec on a 12-server chain). Here the chain
-// is simulated: writes (order establishment) take an exclusive lock ("the
-// chain head") while read-only queries take a shared lock and may execute
-// concurrently ("any replica"); OracleChain in oracle/chain.h models
-// per-replica read dispatch for the throughput benchmark.
+// and read scaling (~6M queries/sec on a 12-server chain). Here one
+// process serves it: writes (order establishment) take an exclusive lock
+// while read-only queries take a shared lock and may execute
+// concurrently. Fault tolerance comes from weaver-oracled's durable
+// changelog and supervised respawn (docs/oracle_service.md), not from
+// replication.
 //
 // Lock discipline: std::shared_mutex promises no FIFO among waiters, so
 // a steady stream of order requests could keep the garbage collector off

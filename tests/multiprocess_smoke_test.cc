@@ -1,19 +1,15 @@
 // Multi-process deployment smoke test (docs/transport.md): shard servers
-// run in forked CHILD PROCESSES connected over SocketTransport, the
-// parent runs gatekeepers + clients, and the whole fig11-style
-// reachability workload (transactional graph build + BFS traversals +
-// point lookups) must produce results identical to the in-process bus.
+// (and, in the exec-gatekeeper cases, the gatekeepers too) run as exec'd
+// weaver-serverd CHILD PROCESSES joined over the cluster listener's TCP
+// handshake (cluster::LaunchServers), the parent runs the rest of the
+// deployment plus the clients, and the whole fig11-style reachability
+// workload (transactional graph build + BFS traversals + point lookups)
+// must produce results identical to the in-process bus.
 //
-// Lives in its own test binary: the children are forked BEFORE the
-// parent deployment creates any threads (threads do not survive fork),
-// so the remote run goes first and nothing else may precede it.
-//
-// Skipped under ThreadSanitizer: TSan and fork are a known-bad pairing.
-// The transport locking is TSan-covered by transport_test's socketpair
-// stress, which exercises the same code without fork.
+// Skipped under ThreadSanitizer: the tsan CI job covers the transport
+// locking through transport_test's socketpair stress instead, which
+// exercises the same code in one process.
 #include <gtest/gtest.h>
-
-#include <sys/wait.h>
 
 #include <algorithm>
 #include <chrono>
@@ -132,13 +128,15 @@ WorkloadResults RunWorkload(Weaver* db, const std::vector<NodeId>& nodes) {
 }
 
 #if !defined(WEAVER_TSAN)
+constexpr char kToken[] = "smoke-secret";
+
 TEST(MultiProcessSmoke, RemoteShardsMatchInProcessBus) {
-  // 1. Fork the shard-server children FIRST (no threads exist yet).
+  // 1. Exec the shard servers.
   serverd::ShardServerOptions so;
   so.num_shards = kShards;
   so.num_gatekeepers = kGatekeepers;
-  auto children = serverd::SpawnShardServers(so);
-  ASSERT_TRUE(children.ok()) << children.status().ToString();
+  auto servers = cluster::LaunchServers(so, WEAVER_SERVERD_BIN, kToken);
+  ASSERT_TRUE(servers.ok()) << servers.status().ToString();
 
   // 2. Parent deployment over the sockets.
   WorkloadResults remote_results;
@@ -149,9 +147,7 @@ TEST(MultiProcessSmoke, RemoteShardsMatchInProcessBus) {
     // are the ones CollectMetrics solicits, so the depth assertions
     // below are deterministic.
     o.metrics_poll_period_micros = 0;
-    for (const auto& child : *children) {
-      o.remote_shard_fds.push_back(child.parent_fd);
-    }
+    servers->Configure(&o);
     auto db = Weaver::Open(o);
     ASSERT_NE(db, nullptr);
     remote_nodes = BuildGraph(db.get());
@@ -189,7 +185,7 @@ TEST(MultiProcessSmoke, RemoteShardsMatchInProcessBus) {
     db->Shutdown();
   }
   // 3. Children exit cleanly once the parent tears the links down.
-  EXPECT_TRUE(serverd::WaitShardServers(*children).ok());
+  EXPECT_TRUE(servers->Wait().ok());
 
   // 4. The identical workload on an in-process deployment.
   auto db = Weaver::Open(DeploymentOptions());
@@ -211,22 +207,20 @@ TEST(MultiProcessSmoke, RemoteShardsMatchInProcessBus) {
             static_cast<std::size_t>(kVertices));
 }
 
-// A second, smaller fork exercise: commits spanning both shard processes
-// are visible to subsequent transactional reads through the parent's
-// backing store, and a remote deployment refuses bulk load.
+// A second, smaller exercise: commits spanning both shard processes are
+// visible to subsequent transactional reads through the parent's backing
+// store, and a remote deployment refuses bulk load.
 TEST(MultiProcessSmoke, RemoteDeploymentGuards) {
   serverd::ShardServerOptions so;
   so.num_shards = kShards;
   so.num_gatekeepers = 1;
-  auto children = serverd::SpawnShardServers(so);
-  ASSERT_TRUE(children.ok());
+  auto servers = cluster::LaunchServers(so, WEAVER_SERVERD_BIN, kToken);
+  ASSERT_TRUE(servers.ok()) << servers.status().ToString();
   {
     WeaverOptions o = DeploymentOptions();
     o.num_gatekeepers = 1;
     o.start = false;  // bulk-load guard fires before Start
-    for (const auto& child : *children) {
-      o.remote_shard_fds.push_back(child.parent_fd);
-    }
+    servers->Configure(&o);
     auto db = Weaver::Open(o);
     ASSERT_NE(db, nullptr);
     EXPECT_TRUE(db->BulkCreateNode(1).IsFailedPrecondition());
@@ -245,100 +239,40 @@ TEST(MultiProcessSmoke, RemoteDeploymentGuards) {
     EXPECT_TRUE(*exists);
     db->Shutdown();
   }
-  EXPECT_TRUE(serverd::WaitShardServers(*children).ok());
+  EXPECT_TRUE(servers->Wait().ok());
 }
-/// An exec'd cluster (docs/transport.md#cluster-bootstrap): every server
-/// process is a real weaver-serverd binary that joined through the
-/// cluster listener's versioned handshake -- including the gatekeepers,
-/// which run OUT-OF-PARENT (the clock, sequencer, and client ingress live
-/// in the children; the parent keeps only the backing store and the
-/// per-gatekeeper agent endpoints).
-///
-/// Exec'ing after threads exist is safe (unlike the fork-protocol tests
-/// above): only async-signal-safe calls run between fork and exec.
-struct ExecCluster {
-  std::unique_ptr<cluster::ClusterListener> listener;
-  std::vector<pid_t> pids;
-  std::vector<int> shard_fds = std::vector<int>(kShards, -1);
-  std::vector<int> gk_fds = std::vector<int>(kGatekeepers, -1);
 
-  /// Parent-side options over the handshaken sockets.
-  WeaverOptions Options() const {
-    WeaverOptions o = DeploymentOptions();
-    o.metrics_poll_period_micros = 0;
-    o.remote_shard_fds = shard_fds;
-    o.remote_gatekeeper_fds = gk_fds;
-    return o;
-  }
-};
-
-/// Opens a listener slot per process, execs the serverds, and admits them
-/// in whatever order they dial in.
-void SpawnExecCluster(ExecCluster* c) {
-  cluster::ClusterListener::Options lo;
-  lo.token = "smoke-secret";
-  auto listener = cluster::ClusterListener::Open(lo);
-  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
-  c->listener = std::move(listener).value();
-  cluster::ClusterListener& l = *c->listener;
-
+/// The gatekeepers run OUT-OF-PARENT too: the clock, sequencer, and client
+/// ingress live in the children; the parent keeps only the backing store
+/// and the per-gatekeeper agent endpoints.
+serverd::ShardServerOptions ExecGatekeeperOptions() {
   serverd::ShardServerOptions so;
   so.num_shards = kShards;
   so.num_gatekeepers = kGatekeepers;
   so.remote_gatekeepers = true;
   so.tau_micros = 300;        // must mirror DeploymentOptions: the
   so.nop_period_micros = 300;  // assignment is the children's only config
-  const RoleAssignMessage assign = serverd::AssignmentFromOptions(so);
-  for (std::size_t s = 0; s < kShards; ++s) {
-    ASSERT_TRUE(l.OpenSlot(NodeRole::kShard, s, assign).ok());
-  }
-  for (std::size_t g = 0; g < kGatekeepers; ++g) {
-    ASSERT_TRUE(l.OpenSlot(NodeRole::kGatekeeper, g, assign).ok());
-  }
-  for (std::size_t s = 0; s < kShards; ++s) {
-    auto pid = cluster::SpawnServerd(WEAVER_SERVERD_BIN, l.port(),
-                                     lo.token, NodeRole::kShard, s);
-    ASSERT_TRUE(pid.ok()) << pid.status().ToString();
-    c->pids.push_back(*pid);
-  }
-  for (std::size_t g = 0; g < kGatekeepers; ++g) {
-    auto pid = cluster::SpawnServerd(WEAVER_SERVERD_BIN, l.port(),
-                                     lo.token, NodeRole::kGatekeeper, g);
-    ASSERT_TRUE(pid.ok()) << pid.status().ToString();
-    c->pids.push_back(*pid);
-  }
-  for (std::size_t i = 0; i < kShards + kGatekeepers; ++i) {
-    auto joined = l.AcceptJoin();
-    ASSERT_TRUE(joined.ok()) << joined.status().ToString();
-    if (joined->role == NodeRole::kShard) {
-      c->shard_fds[joined->shard_id] = joined->fd;
-    } else {
-      ASSERT_EQ(joined->role, NodeRole::kGatekeeper);
-      c->gk_fds[joined->shard_id] = joined->fd;
-    }
-  }
+  return so;
 }
 
-/// The exec'd children exit 0 once the parent tears the links down.
-void ExpectExecClusterExitsCleanly(const ExecCluster& c) {
-  for (const pid_t pid : c.pids) {
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
-        << "serverd pid " << pid << " exited abnormally (status " << status
-        << ")";
-  }
+/// Parent-side options over the launched servers' sockets.
+WeaverOptions ExecOptions(const cluster::LaunchedServers& servers) {
+  WeaverOptions o = DeploymentOptions();
+  o.metrics_poll_period_micros = 0;
+  servers.Configure(&o);
+  return o;
 }
 
-// The traversal workload on an exec'd cluster must produce results
-// identical to the in-process bus.
+// The traversal workload on a cluster with exec'd gatekeepers must
+// produce results identical to the in-process bus.
 TEST(MultiProcessSmoke, TcpBootstrapExecMatchesInProcessBus) {
-  ExecCluster c;
-  ASSERT_NO_FATAL_FAILURE(SpawnExecCluster(&c));
+  auto servers = cluster::LaunchServers(ExecGatekeeperOptions(),
+                                        WEAVER_SERVERD_BIN, kToken);
+  ASSERT_TRUE(servers.ok()) << servers.status().ToString();
   WorkloadResults remote_results;
   std::vector<NodeId> remote_nodes;
   {
-    auto db = Weaver::Open(c.Options());
+    auto db = Weaver::Open(ExecOptions(*servers));
     ASSERT_NE(db, nullptr);
     remote_nodes = BuildGraph(db.get());
     remote_results = RunWorkload(db.get(), remote_nodes);
@@ -348,7 +282,7 @@ TEST(MultiProcessSmoke, TcpBootstrapExecMatchesInProcessBus) {
         << "no traffic actually crossed the transport";
     db->Shutdown();
   }
-  ExpectExecClusterExitsCleanly(c);
+  EXPECT_TRUE(servers->Wait().ok());
 
   // Identical workload in-process; identical results.
   auto db = Weaver::Open(DeploymentOptions());
@@ -386,10 +320,11 @@ std::size_t BlobSize(Weaver* db, NodeId id) {
 // watermark GC folds from those reports, exactly as in-process
 // (docs/storage.md, "What the backing store keeps").
 TEST(MultiProcessSmoke, ExecGatekeepersBoundRewrittenBlobs) {
-  ExecCluster c;
-  ASSERT_NO_FATAL_FAILURE(SpawnExecCluster(&c));
+  auto servers = cluster::LaunchServers(ExecGatekeeperOptions(),
+                                        WEAVER_SERVERD_BIN, kToken);
+  ASSERT_TRUE(servers.ok()) << servers.status().ToString();
   {
-    WeaverOptions o = c.Options();
+    WeaverOptions o = ExecOptions(*servers);
     o.gc_period_micros = 0;  // the test runs the GC rounds itself
     auto db = Weaver::Open(o);
     ASSERT_NE(db, nullptr);
@@ -426,7 +361,7 @@ TEST(MultiProcessSmoke, ExecGatekeepersBoundRewrittenBlobs) {
               std::to_string(500 + extra));
     db->Shutdown();
   }
-  ExpectExecClusterExitsCleanly(c);
+  EXPECT_TRUE(servers->Wait().ok());
 }
 #endif  // !WEAVER_TSAN
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "oracle/chain.h"
 
 namespace weaver {
 namespace {
@@ -333,26 +332,6 @@ TEST(OracleConcurrencyTest, CollectBeforeRacesConcurrentAcquires) {
       if (a.event_id() == b.event_id()) continue;
       EXPECT_EQ(oracle.QueryOrder(a, b), FlipOrder(oracle.QueryOrder(b, a)));
     }
-  }
-}
-
-TEST(OracleChainTest, RoundRobinAcrossReplicas) {
-  OracleChain chain(3);
-  const auto a = Ts({1, 0}, 0);
-  const auto b = Ts({2, 0}, 0);
-  for (int i = 0; i < 9; ++i) chain.QueryAnyReplica(a, b);
-  EXPECT_EQ(chain.ReadsAtReplica(0), 3u);
-  EXPECT_EQ(chain.ReadsAtReplica(1), 3u);
-  EXPECT_EQ(chain.ReadsAtReplica(2), 3u);
-}
-
-TEST(OracleChainTest, HeadWritesVisibleToAllReplicas) {
-  OracleChain chain(4);
-  const auto a = Ts({1, 0}, 0);
-  const auto b = Ts({0, 1}, 1);
-  chain.OrderAtHead(a, b, OrderPreference::kPreferFirst);
-  for (std::size_t r = 0; r < 8; ++r) {
-    EXPECT_EQ(chain.QueryAnyReplica(a, b), ClockOrder::kBefore);
   }
 }
 

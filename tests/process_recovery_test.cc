@@ -1,17 +1,13 @@
 // Shard-process crash recovery, end to end (docs/fault_tolerance.md):
-// a shard-server child is killed -9 mid-workload, the supervisor detects
-// the death, respawns a warm spare, replays the partition from the
-// backing store, and the deployment answers the same queries as an
-// in-process run that never crashed. The invariant under test is the
-// paper's durability contract: every ACKNOWLEDGED write survives the
-// crash (commits publish to the kv store before their shard slices go
-// out, so the replay scan covers them all).
+// a shard-server process is killed -9 mid-workload, the supervisor
+// detects the death, execs a replacement weaver-serverd, replays the
+// partition from the backing store, and the deployment answers the same
+// queries as an in-process run that never crashed. The invariant under
+// test is the paper's durability contract: every ACKNOWLEDGED write
+// survives the crash (commits publish to the kv store before their shard
+// slices go out, so the replay scan covers them all).
 //
-// Lives in its own test binary: children are forked BEFORE the parent
-// deployment creates any threads (threads do not survive fork).
-//
-// Skipped under ThreadSanitizer: TSan and fork are a known-bad pairing
-// (same policy as multiprocess_smoke_test).
+// Skipped under ThreadSanitizer (same policy as multiprocess_smoke_test).
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -30,6 +26,7 @@
 #include <vector>
 
 #include "client/weaver_client.h"
+#include "cluster/bootstrap.h"
 #include "coord/serverd.h"
 #include "core/weaver.h"
 #include "graph/graph_store.h"
@@ -186,18 +183,18 @@ bool AwaitRecoveries(Weaver* db, std::uint64_t want,
 }
 
 #if !defined(WEAVER_TSAN)
+constexpr char kToken[] = "recovery-secret";
 
 /// kill -9 one shard child mid-workload; acknowledged writes survive and
 /// the recovered deployment matches an in-process run that never crashed.
 TEST(ProcessRecovery, KilledShardIsRespawnedAndReplayed) {
-  // 1. Fork shard servers AND the warm spare pool first (no threads yet).
+  // 1. Exec the shard servers; the supervisor respawns through the same
+  // launcher.
   serverd::ShardServerOptions so;
   so.num_shards = kShards;
   so.num_gatekeepers = kGatekeepers;
-  auto children = serverd::SpawnShardServers(so);
-  ASSERT_TRUE(children.ok()) << children.status().ToString();
-  auto spares = serverd::SpawnSpareServers(so, /*count=*/2);
-  ASSERT_TRUE(spares.ok()) << spares.status().ToString();
+  auto servers = cluster::LaunchServers(so, WEAVER_SERVERD_BIN, kToken);
+  ASSERT_TRUE(servers.ok()) << servers.status().ToString();
 
   WorkloadResults remote_results;
   std::vector<NodeId> remote_nodes;
@@ -207,20 +204,13 @@ TEST(ProcessRecovery, KilledShardIsRespawnedAndReplayed) {
     WeaverOptions o = DeploymentOptions();
     o.supervision.enabled = true;
     o.supervision.poll_period_micros = 5'000;
-    for (const auto& child : *children) {
-      o.remote_shard_fds.push_back(child.parent_fd);
-      o.supervision.shard_pids.push_back(child.pid);
-    }
-    for (const auto& spare : *spares) {
-      o.supervision.spare_pids.push_back(spare.pid);
-      o.supervision.spare_fds.push_back(spare.parent_fd);
-    }
+    servers->Configure(&o);
     auto db = Weaver::Open(o);
     ASSERT_NE(db, nullptr);
 
     // 2. Build the graph, then hard-kill shard 0's process.
     remote_nodes = BuildGraph(db.get());
-    ASSERT_EQ(::kill((*children)[0].pid, SIGKILL), 0);
+    ASSERT_EQ(::kill(servers->shard_pids[0], SIGKILL), 0);
 
     // 3. Acknowledged writes while the shard is down (or recovering):
     // commits stay available -- durability comes from the kv store, the
@@ -249,9 +239,8 @@ TEST(ProcessRecovery, KilledShardIsRespawnedAndReplayed) {
     db->Shutdown();
   }
   // The killed child was reaped by the supervisor (ECHILD-skipped); the
-  // survivor, the consumed spare, and the unused spare all exit 0.
-  EXPECT_TRUE(serverd::WaitShardServers(*children).ok());
-  EXPECT_TRUE(serverd::WaitShardServers(*spares).ok());
+  // survivor and the respawn both exit 0.
+  EXPECT_TRUE(servers->Wait().ok());
 
   // 6. The identical workload on an in-process deployment that never
   // crashed must produce identical results.
@@ -282,10 +271,8 @@ TEST(ProcessRecovery, DroppedLinkRecoversThroughInjectorSeam) {
   serverd::ShardServerOptions so;
   so.num_shards = kShards;
   so.num_gatekeepers = 1;
-  auto children = serverd::SpawnShardServers(so);
-  ASSERT_TRUE(children.ok()) << children.status().ToString();
-  auto spares = serverd::SpawnSpareServers(so, /*count=*/1);
-  ASSERT_TRUE(spares.ok()) << spares.status().ToString();
+  auto servers = cluster::LaunchServers(so, WEAVER_SERVERD_BIN, kToken);
+  ASSERT_TRUE(servers.ok()) << servers.status().ToString();
 
   std::shared_ptr<FaultInjectingTransport> injected;
   {
@@ -293,14 +280,7 @@ TEST(ProcessRecovery, DroppedLinkRecoversThroughInjectorSeam) {
     o.num_gatekeepers = 1;
     o.supervision.enabled = true;
     o.supervision.poll_period_micros = 5'000;
-    for (const auto& child : *children) {
-      o.remote_shard_fds.push_back(child.parent_fd);
-      o.supervision.shard_pids.push_back(child.pid);
-    }
-    for (const auto& spare : *spares) {
-      o.supervision.spare_pids.push_back(spare.pid);
-      o.supervision.spare_fds.push_back(spare.parent_fd);
-    }
+    servers->Configure(&o);
     o.shard_transport_decorator =
         [&injected](std::shared_ptr<Transport> inner,
                     ShardId shard) -> std::shared_ptr<Transport> {
@@ -335,8 +315,7 @@ TEST(ProcessRecovery, DroppedLinkRecoversThroughInjectorSeam) {
     EXPECT_GE(cluster->local.CounterValue("supervisor.recoveries"), 1u);
     db->Shutdown();
   }
-  EXPECT_TRUE(serverd::WaitShardServers(*children).ok());
-  EXPECT_TRUE(serverd::WaitShardServers(*spares).ok());
+  EXPECT_TRUE(servers->Wait().ok());
 }
 
 /// True once every blob in `ids` holds no edge tombstone and at most
@@ -361,23 +340,14 @@ TEST(ProcessRecovery, RespawnFromPrunedBlobsAnswersAsBeforeCrash) {
   serverd::ShardServerOptions so;
   so.num_shards = kShards;
   so.num_gatekeepers = kGatekeepers;
-  auto children = serverd::SpawnShardServers(so);
-  ASSERT_TRUE(children.ok()) << children.status().ToString();
-  auto spares = serverd::SpawnSpareServers(so, /*count=*/1);
-  ASSERT_TRUE(spares.ok()) << spares.status().ToString();
+  auto servers = cluster::LaunchServers(so, WEAVER_SERVERD_BIN, kToken);
+  ASSERT_TRUE(servers.ok()) << servers.status().ToString();
   {
     WeaverOptions o = DeploymentOptions();
     o.gc_period_micros = 0;  // the test runs the GC rounds itself
     o.supervision.enabled = true;
     o.supervision.poll_period_micros = 5'000;
-    for (const auto& child : *children) {
-      o.remote_shard_fds.push_back(child.parent_fd);
-      o.supervision.shard_pids.push_back(child.pid);
-    }
-    for (const auto& spare : *spares) {
-      o.supervision.spare_pids.push_back(spare.pid);
-      o.supervision.spare_fds.push_back(spare.parent_fd);
-    }
+    servers->Configure(&o);
     auto db = Weaver::Open(o);
     ASSERT_NE(db, nullptr);
     const std::vector<NodeId> nodes = BuildGraph(db.get());
@@ -438,7 +408,7 @@ TEST(ProcessRecovery, RespawnFromPrunedBlobsAnswersAsBeforeCrash) {
     };
     const WorkloadResults before = reads();
 
-    ASSERT_EQ(::kill((*children)[0].pid, SIGKILL), 0);
+    ASSERT_EQ(::kill(servers->shard_pids[0], SIGKILL), 0);
     ASSERT_TRUE(AwaitRecoveries(db.get(), 1, std::chrono::seconds(30)))
         << "supervisor never reported the recovery";
     const WorkloadResults after = reads();
@@ -453,8 +423,7 @@ TEST(ProcessRecovery, RespawnFromPrunedBlobsAnswersAsBeforeCrash) {
     EXPECT_GT(cluster->local.CounterValue("backing.versions_pruned"), 0u);
     db->Shutdown();
   }
-  EXPECT_TRUE(serverd::WaitShardServers(*children).ok());
-  EXPECT_TRUE(serverd::WaitShardServers(*spares).ok());
+  EXPECT_TRUE(servers->Wait().ok());
 }
 
 /// Synthetic concurrent timestamps in an epoch far above any watermark
@@ -507,27 +476,13 @@ TEST(ProcessRecovery, RespawnedShardRehydratesOracleView) {
     oracle_dir = dir;
   }
   so.oracle_data_dir = oracle_dir;
-  auto children = serverd::SpawnShardServers(so);
-  ASSERT_TRUE(children.ok()) << children.status().ToString();
-  auto oracled = serverd::SpawnOracleServer(so);
-  ASSERT_TRUE(oracled.ok()) << oracled.status().ToString();
-  auto spares = serverd::SpawnSpareServers(so, /*count=*/1);
-  ASSERT_TRUE(spares.ok()) << spares.status().ToString();
+  auto servers = cluster::LaunchServers(so, WEAVER_SERVERD_BIN, kToken);
+  ASSERT_TRUE(servers.ok()) << servers.status().ToString();
   {
     WeaverOptions o = DeploymentOptions();
     o.supervision.enabled = true;
     o.supervision.poll_period_micros = 5'000;
-    o.oracle_service.enabled = true;
-    o.oracle_service.pid = oracled->pid;
-    o.oracle_service.fd = oracled->parent_fd;
-    for (const auto& child : *children) {
-      o.remote_shard_fds.push_back(child.parent_fd);
-      o.supervision.shard_pids.push_back(child.pid);
-    }
-    for (const auto& spare : *spares) {
-      o.supervision.spare_pids.push_back(spare.pid);
-      o.supervision.spare_fds.push_back(spare.parent_fd);
-    }
+    servers->Configure(&o);
     auto db = Weaver::Open(o);
     ASSERT_NE(db, nullptr);
 
@@ -546,7 +501,7 @@ TEST(ProcessRecovery, RespawnedShardRehydratesOracleView) {
     }
 
     const std::vector<NodeId> nodes = BuildGraph(db.get());
-    ASSERT_EQ(::kill((*children)[0].pid, SIGKILL), 0);
+    ASSERT_EQ(::kill(servers->shard_pids[0], SIGKILL), 0);
     const std::vector<NodeId> outage = ApplyOutageWrites(db.get(), nodes);
     ASSERT_TRUE(AwaitRecoveries(db.get(), 1, std::chrono::seconds(30)))
         << "supervisor never reported the recovery";
@@ -580,9 +535,7 @@ TEST(ProcessRecovery, RespawnedShardRehydratesOracleView) {
               static_cast<std::size_t>(kVertices + kOutageWrites));
     db->Shutdown();
   }
-  EXPECT_TRUE(serverd::WaitShardServers(*children).ok());
-  EXPECT_TRUE(serverd::WaitShardServers({*oracled}).ok());
-  EXPECT_TRUE(serverd::WaitShardServers(*spares).ok());
+  EXPECT_TRUE(servers->Wait().ok());
   std::error_code ec;
   std::filesystem::remove_all(oracle_dir, ec);
 }

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -148,6 +149,57 @@ TEST(Transport, BusToBusDeliveryPreservesPayloadAndSeq) {
     EXPECT_EQ(nop->ts.local_seq, i - 1);
   }
   EXPECT_EQ(bus_b.stats().wire_seq_violations.load(), 0u);
+}
+
+// Recovery fences a dead peer (Detach), resets its sequence state
+// (ResetPeer), and only then installs the replacement's link
+// (ReplaceRemote). A send that lands between the last two must fail
+// without taking a sequence number, or the fresh process sees seq 2 as
+// its first frame and poisons its own uplink.
+TEST(Transport, SendToFencedRemoteBurnsNoSequence) {
+  MessageBus bus_a;
+  bus_a.SetWireEncoder(EncodePayload);
+  auto old_pair = SocketTransport::CreatePair();
+  ASSERT_TRUE(old_pair.ok());
+  std::shared_ptr<Transport> old_side = std::move(old_pair->first);
+  std::shared_ptr<Transport> old_peer = std::move(old_pair->second);
+  const EndpointId peer = bus_a.RegisterRemote("peer", old_side);
+  const EndpointId sender =
+      bus_a.RegisterHandler("sender", [](const BusMessage&) {});
+  const auto nop = [] { return std::make_shared<NopMessage>(); };
+  ASSERT_TRUE(bus_a.Send(sender, peer, kMsgNop, nop()).ok());
+
+  bus_a.Detach(peer);
+  bus_a.ResetPeer(peer);
+  EXPECT_TRUE(bus_a.Send(sender, peer, kMsgNop, nop()).IsUnavailable());
+
+  // The replacement process: a fresh bus with the mirrored layout.
+  auto new_pair = SocketTransport::CreatePair();
+  ASSERT_TRUE(new_pair.ok());
+  std::shared_ptr<Transport> new_side = std::move(new_pair->first);
+  std::shared_ptr<Transport> b_side = std::move(new_pair->second);
+  MessageBus bus_b;
+  bus_b.SetWireEncoder(EncodePayload);
+  auto inbox = std::make_shared<BlockingQueue<BusMessage>>();
+  ASSERT_EQ(bus_b.RegisterInbox("peer", inbox), peer);
+  ASSERT_EQ(bus_b.RegisterRemote("sender", b_side), sender);
+  WireLink link_b(LinkOptions(&bus_b, b_side, "replacement.uplink"));
+
+  bus_a.ReplaceRemote(peer, new_side);
+  ASSERT_TRUE(bus_a.Send(sender, peer, kMsgNop, nop()).ok());
+  std::optional<BusMessage> msg;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!msg.has_value() && bus_b.stats().wire_seq_violations.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    msg = inbox->TryPop();
+    if (!msg.has_value()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_EQ(bus_b.stats().wire_seq_violations.load(), 0u);
+  ASSERT_TRUE(msg.has_value()) << "the replacement never accepted a frame";
+  EXPECT_EQ(msg->channel_seq, 1u);
 }
 
 // The receiver must fail loudly when frames arrive out of order: craft

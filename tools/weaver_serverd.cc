@@ -111,10 +111,10 @@ int main(int argc, char** argv) {
           joined->fd, static_cast<GatekeeperId>(assign.shard_id), options,
           assign.cluster_epoch);
     case NodeRole::kSpare:
-      // The exec path has no warm spares: a process is spawned when (and
-      // as what) it is needed. A spare assignment means misconfiguration.
+      // A process is spawned when (and as what) it is needed, so a spare
+      // assignment means misconfiguration.
       std::fprintf(stderr,
-                   "weaver-serverd: exec mode has no spare role; ask for "
+                   "weaver-serverd: there is no spare role; ask for "
                    "shard, oracle, or gatekeeper\n");
       return 64;
   }
